@@ -13,9 +13,10 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "ROOT",
@@ -24,8 +25,14 @@ __all__ = [
     "Outcome",
     "use_src",
     "child_env",
+    "on_cpu",
     "peak_rss_mb",
+    "pin_to_one_cpu",
     "probe_setup",
+    "reserve_cpu",
+    "segments",
+    "setup_note",
+    "slowdown",
     "trace_path",
 ]
 
@@ -35,8 +42,9 @@ SRC = ROOT / "src"
 #: Trace files written by ``--trace 1`` runs (ignored by git).
 OUT_DIR = ROOT / ".perfbench"
 
-#: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Set-ups per run, spread over it (:func:`segments`); ``setup_s`` is
+#: their median.
+SETUP_REPEATS = 5
 
 #: A set-up probe that takes longer than this is broken, not slow.
 _PROBE_TIMEOUT_S = 60
@@ -87,28 +95,138 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def probe_setup(workload: str, seed: int) -> List[float]:
-    """Time :data:`SETUP_REPEATS` fresh processes getting ready.
+def probe_setup(workload: str, seed: int) -> float:
+    """Time one fresh process getting ready.
 
-    Each probe is a new interpreter that imports the workload's layers
+    The probe is a new interpreter that imports the workload's layers
     and runs its warm-up (``setup_probe.py``), so work moved to import
     time or into warm-up shows up in ``setup_s``.
     """
-    times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, str(HERE / "setup_probe.py"), workload, str(seed)],
-            env=child_env(),
-            cwd=ROOT,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            timeout=_PROBE_TIMEOUT_S,
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "setup_probe.py"), workload, str(seed)],
+        env=child_env(),
+        cwd=ROOT,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        timeout=_PROBE_TIMEOUT_S,
+    )
+    took = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"set-up probe for {workload} failed: "
+            f"{proc.stderr.decode(errors='replace')[-2000:]}"
         )
-        times.append(time.perf_counter() - t0)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"set-up probe for {workload} failed: "
-                f"{proc.stderr.decode(errors='replace')[-2000:]}"
-            )
-    return times
+    return took
+
+
+def segments(
+    seconds: float,
+    set_up: Callable[[], float],
+    setups: List[float],
+    cpu: Optional[int] = None,
+) -> Iterator[float]:
+    """Split a run's ``seconds`` into :data:`SETUP_REPEATS` timed segments.
+
+    Before each segment one ``set_up()`` runs, on ``cpu`` if given; the
+    time it returns, scaled to the reference speed (:func:`slowdown`,
+    timed right before and after on the same CPU), goes to ``setups``.
+    Then the segment's deadline is yielded.  A segment that overran its
+    deadline shortens the ones after it, so the segments together take
+    ``seconds``.
+    """
+    timed = 0.0
+    for k in range(SETUP_REPEATS):
+        with on_cpu(cpu):
+            before = slowdown()
+            took = set_up()
+            setups.append(took / ((before + slowdown()) / 2))
+        start = time.perf_counter()
+        yield start + (seconds - timed) / (SETUP_REPEATS - k)
+        timed += time.perf_counter() - start
+
+
+#: Fastest run of :func:`_calibration_unit` on the machine the benchmark
+#: was built on, in its fast state; see :func:`slowdown`.
+CALIBRATION_REF_MS = 3.2
+_CALIBRATION_TRIALS = 5
+
+
+def _calibration_unit() -> int:
+    """Fixed pure-Python work: dict, list, tuple and integer traffic."""
+    table: Dict[int, int] = {}
+    items = []
+    acc = 0
+    for i in range(6000):
+        key = (i * 2654435761) & 0xFFFFF
+        table[key] = table.get(key ^ 1, 0) + i
+        items.append((key, i & 0xFF))
+        acc += (i * i) & 0xFFFF
+    items.sort()
+    return acc + len(table)
+
+
+def slowdown() -> float:
+    """How many times slower than the reference the machine runs Python now.
+
+    Shared hosts slow a CPU down for a second to minutes at a time: the
+    host this benchmark was built on runs about 1.7x slower in its slow
+    state, each of its two CPUs on its own schedule, and no minimum over
+    one-second units escapes a slow spell that lasts a whole run.  A
+    fixed loop owned by the benchmark, timed next to the measured work
+    on the same CPU (:func:`pin_to_one_cpu`), shows the state; a unit's
+    wall time divided by this factor is its time at the reference speed.
+    The loop never calls the program under test, so a change to the
+    program cannot move it.
+    """
+    best = None
+    for _ in range(_CALIBRATION_TRIALS):
+        t0 = time.perf_counter()
+        _calibration_unit()
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best * 1e3 / CALIBRATION_REF_MS
+
+
+def pin_to_one_cpu() -> None:
+    """Keep this process, and every process it starts, on one CPU.
+
+    For single-threaded workloads only: their calibration, measured
+    work and set-up probes then all run on the CPU whose state
+    :func:`slowdown` reads.
+    """
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def reserve_cpu() -> int:
+    """Move this process off one CPU, if it has more than one; return that CPU.
+
+    The serve workloads start their server there, so the server and
+    the client threads do not compete for a CPU.
+    """
+    allowed = os.sched_getaffinity(0)
+    cpu = max(allowed)
+    if len(allowed) > 1:
+        os.sched_setaffinity(0, allowed - {cpu})
+    return cpu
+
+
+@contextmanager
+def on_cpu(cpu: Optional[int]) -> Iterator[None]:
+    """Run this process, and the processes it starts meanwhile, on ``cpu``.
+
+    ``None`` leaves the placement alone.
+    """
+    if cpu is None:
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def setup_note(setups: List[float]) -> str:
+    return "set-ups at reference speed: " + ", ".join(f"{t:.3f}s" for t in setups)

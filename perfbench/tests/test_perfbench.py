@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,22 @@ def test_p99_needs_ten_samples_beyond_it():
     assert MIN_BEYOND == 10
     with pytest.raises(ValueError):
         percentile([1.0], 100)
+
+
+# -- set-up segments ---------------------------------------------------------------
+
+
+def test_segments_scale_set_ups_and_share_the_run(monkeypatch):
+    assert harness.slowdown() > 0
+    monkeypatch.setattr(harness, "slowdown", lambda: 2.0)
+    setups = []
+    started = time.perf_counter()
+    for deadline in harness.segments(0.5, lambda: 1.0, setups):
+        while time.perf_counter() < deadline:
+            time.sleep(0.01)
+    # One set-up per segment, each 1.0 s measured at half the reference speed.
+    assert setups == [0.5] * harness.SETUP_REPEATS
+    assert time.perf_counter() - started < 0.5 + 0.25
 
 
 # -- campaign determinism -------------------------------------------------------

@@ -2,11 +2,17 @@
 
 Each timed unit is ``run_precision_campaign(CampaignSpec(budget=BUDGET,
 seed=s))`` with every other field at its default (mixed profile, two
-rounds, mutation feedback, one worker, no verdict cache).  Campaign
-seeds are drawn from the run's ``--seed``; campaigns run back to back
-until the run's time is up.
+rounds, mutation feedback, one worker, no verdict cache); ``BUDGET`` is
+``CampaignSpec``'s default too.  A run draws :data:`SEEDS_PER_RUN`
+campaign seeds from its ``--seed`` and runs their campaigns in turn
+until the run's time is up, so each campaign repeats several times,
+spread over the run.  A campaign with a given seed does the same work
+every time (its report is byte-identical).  Each repeat's wall time is
+scaled to the reference speed by the calibration loop timed right
+before and after it (:func:`harness.slowdown`); a campaign's cost is the
+median of its scaled repeats.
 
-In a traced run every campaign seed runs twice, once plain and once
+In a traced run every campaign runs twice in a row, once plain and once
 with spans around each layer's entry point (alternating which goes
 first), so ``trace.overhead_frac`` compares the same work.
 """
@@ -14,12 +20,22 @@ first), so ``trace.overhead_frac`` compares the same work.
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import statistics
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from harness import Outcome, peak_rss_mb, probe_setup, trace_path
+from harness import (
+    Outcome,
+    peak_rss_mb,
+    pin_to_one_cpu,
+    probe_setup,
+    segments,
+    setup_note,
+    slowdown,
+    trace_path,
+)
 from spans import Tracer, self_by_name
 
 from repro.bpf.interpreter import Machine
@@ -28,7 +44,8 @@ from repro.fuzz import campaign as campaign_mod
 from repro.fuzz.campaign import CampaignSpec, run_precision_campaign
 from repro.fuzz.oracle import DifferentialOracle
 
-BUDGET = 1000
+BUDGET = CampaignSpec.budget
+SEEDS_PER_RUN = 6
 WARMUP_BUDGET = 200
 #: Separates the warm-up campaign's seed stream from the timed ones.
 _WARMUP_MIX = 0x5EED_0F_CA_FE
@@ -49,6 +66,14 @@ def campaign_seeds(seed: int):
     rng = random.Random(seed)
     while True:
         yield rng.getrandbits(32)
+
+
+def run_specs(seed: int) -> List[CampaignSpec]:
+    """The campaigns one run cycles through."""
+    return [
+        CampaignSpec(budget=BUDGET, seed=s)
+        for s in itertools.islice(campaign_seeds(seed), SEEDS_PER_RUN)
+    ]
 
 
 def warm_up(seed: int) -> None:
@@ -100,54 +125,68 @@ def _traced(spec: CampaignSpec, tracer: Tracer, counts: Dict[str, int], outcome:
 
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     outcome = Outcome(attempted=0)
-    setups = probe_setup("campaign", seed)
+    pin_to_one_cpu()
     warm_up(seed)
-
-    seeds = campaign_seeds(seed)
-    plain: List[float] = []
-    traced: List[float] = []
+    specs = run_specs(seed)
+    walls: List[List[float]] = [[] for _ in specs]    # wall times per campaign
+    scaled: List[List[float]] = [[] for _ in specs]   # the same at reference speed
+    pairs: List[Tuple[float, float]] = []             # (traced, plain), traced runs
     tracer = Tracer()
     counts = {"checks": 0, "accepted": 0}
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        spec = CampaignSpec(budget=BUDGET, seed=next(seeds))
-        if not trace:
-            plain.append(_run_one(spec, outcome))
-            continue
-        # Alternate the order so neither side always runs on warmer caches.
-        if len(plain) % 2 == 0:
-            plain.append(_run_one(spec, outcome))
-            traced.append(_traced(spec, tracer, counts, outcome))
-        else:
-            traced.append(_traced(spec, tracer, counts, outcome))
-            plain.append(_run_one(spec, outcome))
+    setups: List[float] = []
+    done = 0
+    for deadline in segments(seconds, lambda: probe_setup("campaign", seed), setups):
+        while time.perf_counter() < deadline:
+            k = done % len(specs)
+            spec = specs[k]
+            done += 1
+            if not trace:
+                before = slowdown()
+                wall = _run_one(spec, outcome)
+                walls[k].append(wall)
+                scaled[k].append(wall / ((before + slowdown()) / 2))
+                continue
+            # Alternate the order so neither side always runs on warmer caches.
+            if len(pairs) % 2 == 0:
+                p = _run_one(spec, outcome)
+                t = _traced(spec, tracer, counts, outcome)
+            else:
+                t = _traced(spec, tracer, counts, outcome)
+                p = _run_one(spec, outcome)
+            pairs.append((t, p))
 
-    outcome.notes.append(
-        f"campaign: {len(plain)} untraced campaigns of {BUDGET} programs, "
-        f"fastest {min(plain):.3f}s, median {statistics.median(plain):.3f}s"
-    )
     if not trace:
-        # The fastest campaign, not the median: this machine switches
-        # between a fast and a ~1.7x slower state every few seconds, and
-        # a median moves with the share of time spent slow.
+        # Each campaign's median repeat at reference speed (see
+        # harness.slowdown), then the mean over campaigns.
+        per_seed = [statistics.median(times) for times in scaled if times]
+        outcome.notes.append(
+            f"campaign: {done} campaigns of {BUDGET} programs over "
+            f"{len(per_seed)} seeds; per seed, fastest wall time "
+            + ", ".join(f"{min(times):.3f}s" for times in walls if times)
+            + "; median at reference speed "
+            + ", ".join(f"{t:.3f}s" for t in per_seed)
+        )
+        outcome.notes.append(setup_note(setups))
+        latency_s = statistics.fmean(per_seed)
         outcome.metrics = {
             "setup_s": statistics.median(setups),
-            "ops_per_s": BUDGET / min(plain),
-            "latency_ms": min(plain) * 1e3,
+            "ops_per_s": BUDGET / latency_s,
+            "latency_ms": latency_s * 1e3,
             "peak_rss_mb": peak_rss_mb(),
         }
         return outcome
 
-    outcome.metrics = layer_metrics(tracer, counts, traced, plain)
+    traced = [t for t, _ in pairs]
+    outcome.metrics = layer_metrics(tracer, counts, pairs)
     _check_self_sum(outcome, sum(traced), len(traced))
     tracer.dump(trace_path("campaign", seed))
     return outcome
 
 
 def layer_metrics(
-    tracer: Tracer, counts: Dict[str, int], traced: List[float], plain: List[float]
+    tracer: Tracer, counts: Dict[str, int], pairs: List[Tuple[float, float]]
 ) -> Dict[str, float]:
-    n = len(traced)
+    n = len(pairs)
     own = self_by_name(tracer.spans)
     calls: Dict[str, int] = {}
     for s in tracer.spans:
@@ -157,9 +196,7 @@ def layer_metrics(
     metrics["interpreter.runs"] = calls.get("interpreter", 0) / n
     metrics["oracle.accept_ratio"] = counts["accepted"] / max(1, counts["checks"])
     # Each pair runs back to back, so mostly in the same machine state.
-    metrics["trace.overhead_frac"] = statistics.median(
-        t / p for t, p in zip(traced, plain)
-    ) - 1.0
+    metrics["trace.overhead_frac"] = statistics.median(t / p for t, p in pairs) - 1.0
     return metrics
 
 

@@ -19,9 +19,11 @@ programs once; the timed phase replays it in seeded shuffled passes, so
 every request is a cache hit and nothing walks.  Afterwards ``/stats``
 must show no verification during the timed phase.
 
-Set-up (server start to warm) runs :data:`~harness.SETUP_REPEATS` times;
-the last server is the one measured.  Set-up traffic uses one short-lived
-connection per request.  A traced run measures half its time against a
+A run is split into :data:`~harness.SETUP_REPEATS` segments
+(:func:`~harness.segments`), each against a fresh server; set-up (server
+start to warm) is timed before each one, and the request schedule runs
+on across them.  Set-up traffic uses one short-lived connection per
+request.  A traced run measures half its time against a
 plain server and half against one with spans (``--spans``), and charges
 each request's round trip, less its server-side spans, to transport.
 """
@@ -41,7 +43,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import universe
-from harness import ROOT, SETUP_REPEATS, Outcome, child_env, trace_path
+from harness import (
+    ROOT,
+    Outcome,
+    child_env,
+    on_cpu,
+    reserve_cpu,
+    segments,
+    setup_note,
+    trace_path,
+)
 from serve_launcher import LAUNCHER_TAG
 from spans import Span, Tracer, self_times
 from stats import MIN_BEYOND, supported_percentile
@@ -271,28 +282,35 @@ def stats_problem(phase: Phase, cold: bool) -> Optional[str]:
     return None
 
 
-def record_phase(phase: Phase, cold: bool, outcome: Outcome, label: str) -> None:
-    outcome.attempted += phase.attempted
-    outcome.problems.extend(phase.errors[:5])
-    failed = len(phase.errors)
-    problem = stats_problem(phase, cold)
-    if problem is not None:
-        # The run did not do what the workload claims: none of it counts.
-        outcome.problems.append(problem)
-        failed = phase.attempted
+def record_phases(phases: List[Phase], cold: bool, outcome: Outcome, label: str) -> List[float]:
+    """Count and check ``phases``; returns their round trips."""
+    failed = attempted = 0
+    for phase in phases:
+        attempted += phase.attempted
+        outcome.problems.extend(phase.errors[:5])
+        problem = stats_problem(phase, cold)
+        if problem is not None:
+            # The phase did not do what the workload claims: none of it counts.
+            outcome.problems.append(problem)
+            failed += phase.attempted
+        else:
+            failed += len(phase.errors)
+    outcome.attempted += attempted
     outcome.failed += failed
-    lat = list(phase.rtt_s.values())
+    lat = [rtt for phase in phases for rtt in phase.rtt_s.values()]
     p99 = supported_percentile(lat, 99)
     tail = (
         f"p99 {p99 * 1e3:.2f} ms" if p99 is not None
         else f"p99 not reported (under {MIN_BEYOND} samples beyond it)"
     )
+    elapsed = sum(phase.elapsed_s for phase in phases)
     outcome.notes.append(
-        f"{label}: {len(lat)} samples in {phase.elapsed_s:.2f}s over {CLIENTS} "
+        f"{label}: {len(lat)} samples in {elapsed:.2f}s over {CLIENTS} "
         f"keep-alive connections, p50 {statistics.median(lat) * 1e3:.2f} ms, {tail}; "
-        f"failed {failed}/{phase.attempted}"
+        f"failed {failed}/{attempted}"
         if lat else f"{label}: no request succeeded"
     )
+    return lat
 
 
 def run(seed: int, seconds: float, trace: bool, cold: bool) -> Outcome:
@@ -310,37 +328,56 @@ def run(seed: int, seconds: float, trace: bool, cold: bool) -> Outcome:
     def schedule() -> Schedule:
         return Schedule(list(timed), cycle=not cold, rng=random.Random(seed + 1))
 
+    # Servers run on a CPU of their own: set-up (and its calibration)
+    # runs there too, and the client threads run on the others.
+    cpu = reserve_cpu()
+
     if not trace:
-        setups = []
-        for n in range(SETUP_REPEATS):
+        setups: List[float] = []
+        servers: List[Server] = []
+        phases: List[Phase] = []
+        requests = schedule()
+
+        def start() -> float:
+            # The previous segment's server stops here, outside its
+            # segment's timed time and outside this set-up's.
+            if servers:
+                servers[-1].stop()
             server, took = set_up(batch, wire, expected, outcome)
-            setups.append(took)
-            if n < SETUP_REPEATS - 1:
-                server.stop()
+            servers.append(server)
+            return took
+
+        # One fresh server per segment; the schedule runs on across them.
         try:
-            phase = timed_phase(server.port, wire, expected, schedule(), seconds)
+            for deadline in segments(seconds, start, setups, cpu=cpu):
+                phases.append(timed_phase(
+                    servers[-1].port, wire, expected, requests,
+                    deadline - time.perf_counter(),
+                ))
         finally:
-            server.stop()
-        record_phase(phase, cold, outcome, name)
-        lat = list(phase.rtt_s.values())
+            if servers:
+                servers[-1].stop()
+        lat = record_phases(phases, cold, outcome, name)
+        outcome.notes.append(setup_note(setups))
         outcome.metrics = {
             "setup_s": statistics.median(setups),
-            "ops_per_s": len(lat) / phase.elapsed_s,
+            "ops_per_s": len(lat) / sum(phase.elapsed_s for phase in phases),
             "latency_ms": statistics.median(lat) * 1e3 if lat else 0.0,
-            "peak_rss_mb": server.peak_rss_mb,
+            "peak_rss_mb": max(server.peak_rss_mb for server in servers),
         }
         return outcome
 
     phases = []
     spans_path = trace_path(name, seed)
     for traced in (False, True):
-        server, _ = set_up(batch, wire, expected, outcome,
-                           spans_path if traced else None)
+        with on_cpu(cpu):
+            server, _ = set_up(batch, wire, expected, outcome,
+                               spans_path if traced else None)
         try:
             phase = timed_phase(server.port, wire, expected, schedule(), seconds / 2)
         finally:
             server.stop()
-        record_phase(phase, cold, outcome, f"{name} ({'traced' if traced else 'plain'})")
+        record_phases([phase], cold, outcome, f"{name} ({'traced' if traced else 'plain'})")
         phases.append(phase)
     plain, traced_phase = phases
     outcome.metrics = layer_metrics(traced_phase, Tracer.load(spans_path))

@@ -6,11 +6,14 @@ multiplier is timed on each pair ``TRIALS`` times and the pair keeps
 the minimum.  A round sweeps every pair through the three multipliers
 (``our_mul`` and the ``kern_mul`` / ``bitwise_mul`` baselines), taking
 turns on each pair, and then runs ``our_mul`` over all pairs back to
-back, best of three passes, for its throughput.  Rounds repeat until
-the run's time is up.  A pair keeps its minimum over every round and the
-throughput is the best round's: this machine switches between a fast
-and a ~1.7x slower state every few seconds, and minima over trials
-spread across the run stay in the fast state.
+back, three passes, for its throughput, scaled to the reference speed
+by the calibration loop timed right before and after the passes
+(:func:`harness.slowdown`).  Rounds repeat until the run's time is up;
+the end-to-end metrics are the median throughput over rounds and its
+inverse.  The Fig. 5 table on standard error and the traced
+per-operator figures keep each pair's raw minimum over every round:
+minima of microsecond calls escape the machine's slow state only in
+part, so they cannot be scaled by the calibration loop.
 
 Soundness is checked outside the timed region: on sampled pairs, every
 operator's result must contain ``x op y`` for random members ``x`` and
@@ -29,7 +32,16 @@ import statistics
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from harness import Outcome, peak_rss_mb, probe_setup, trace_path
+from harness import (
+    Outcome,
+    peak_rss_mb,
+    pin_to_one_cpu,
+    probe_setup,
+    segments,
+    setup_note,
+    slowdown,
+    trace_path,
+)
 from spans import Tracer
 
 from repro.baselines import bitwise_mul_opt, kern_mul
@@ -133,16 +145,16 @@ def traced_sweep(
 
 
 def products_per_s(pairs: Sequence[Pair]) -> float:
-    """``our_mul`` over every pair back to back; the best of
-    :data:`THROUGHPUT_PASSES` passes."""
-    best = None
+    """``our_mul`` over every pair back to back, :data:`THROUGHPUT_PASSES`
+    times, in products per second at the reference speed
+    (:func:`harness.slowdown`, timed right before and after)."""
+    before = slowdown()
+    t0 = time.perf_counter()
     for _ in range(THROUGHPUT_PASSES):
-        t0 = time.perf_counter()
         for p, q in pairs:
             our_mul(p, q)
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return len(pairs) / best
+    elapsed = time.perf_counter() - t0
+    return len(pairs) * THROUGHPUT_PASSES / elapsed * ((before + slowdown()) / 2)
 
 
 def warm_up(seed: int) -> None:
@@ -176,26 +188,27 @@ def unsound_operators(seed: int) -> List[str]:
 
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     outcome = Outcome(attempted=0)
-    setups = probe_setup("tnum_ops", seed)
+    pin_to_one_cpu()
     warm_up(seed)
     pairs = generate_pairs(PAIRS, seed=seed)
 
     best: Dict[str, List[int]] = {}   # per-pair minimum over all rounds
     rates: List[float] = []
     tracer = Tracer()
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        mins = sweep(MULTIPLIERS, pairs)
-        rates.append(products_per_s(pairs))
-        if trace:
-            mins.update(
-                (f"traced.{name}", values) for name, values in
-                traced_sweep(tracer, {"our_mul": our_mul, **CORE_FNS}, pairs).items()
-            )
-        for name, values in mins.items():
-            kept = best.setdefault(name, values)
-            best[name] = [min(a, b) for a, b in zip(kept, values)]
-            outcome.attempted += len(values)
+    setups: List[float] = []
+    for deadline in segments(seconds, lambda: probe_setup("tnum_ops", seed), setups):
+        while time.perf_counter() < deadline:
+            mins = sweep(MULTIPLIERS, pairs)
+            rates.append(products_per_s(pairs))
+            if trace:
+                mins.update(
+                    (f"traced.{name}", values) for name, values in
+                    traced_sweep(tracer, {"our_mul": our_mul, **CORE_FNS}, pairs).items()
+                )
+            for name, values in mins.items():
+                kept = best.setdefault(name, values)
+                best[name] = [min(a, b) for a, b in zip(kept, values)]
+                outcome.attempted += len(values)
 
     bad = unsound_operators(seed)
     if bad:
@@ -211,10 +224,11 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
         f"faster than kern_mul"
     )
     if not trace:
+        outcome.notes.append(setup_note(setups))
         outcome.metrics = {
             "setup_s": statistics.median(setups),
-            "ops_per_s": max(rates),
-            "latency_ms": statistics.median(best["our_mul"]) / 1e6,
+            "ops_per_s": statistics.median(rates),
+            "latency_ms": 1e3 / statistics.median(rates),
             "peak_rss_mb": peak_rss_mb(),
         }
         return outcome
