@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro import faults as _faults
+from repro import obs as _obs
 from repro.bpf.program import Program
 from repro.bpf.verifier.errors import VerificationResult, VerifierError
 
@@ -47,9 +48,8 @@ __all__ = [
     "VerifyRequest",
     "VerdictError",
     "Verdict",
-    "error_payload",
-    "faults_echo",
     "precision_summary",
+    "with_diagnostics",
 ]
 
 #: Version of the request/response payload shape served by the API and
@@ -57,31 +57,22 @@ __all__ = [
 API_SCHEMA_VERSION = 1
 
 
-def error_payload(code: str, message: str) -> dict:
-    """The one structured error shape every API surface renders.
-
-    Clients switch on ``error.code``, never on prose — 503 (shed), 504
-    (deadline), and every 4xx all share this envelope.
-    """
-    return {
-        "schema_version": API_SCHEMA_VERSION,
-        "error": {"code": code, "message": message},
-    }
-
-
-def faults_echo() -> Optional[dict]:
-    """The armed fault plan, or None when injection is off.
+def with_diagnostics(payload: Dict, metrics: bool = False) -> Dict:
+    """``payload`` plus the armed fault plan and, with ``metrics``, the
+    obs registry snapshot (each only when it is on).
 
     ``/healthz`` and ``/stats`` (on every HTTP surface — the
-    verification service and the dist coordinator) echo this so a chaos
-    harness can *assert* the process under test is actually running the
-    plan it armed — a server accidentally started without
+    verification service and the dist coordinator) echo the plan so a
+    chaos harness can *assert* the process under test is actually
+    running the plan it armed — a server accidentally started without
     ``REPRO_FAULTS`` would otherwise pass its chaos suite vacuously.
     """
     plan = _faults.active_plan()
-    if plan is None:
-        return None
-    return {"spec": plan.to_spec(), "seed": plan.seed}
+    if plan is not None:
+        payload["faults"] = {"spec": plan.to_spec(), "seed": plan.seed}
+    if metrics and _obs.enabled():
+        payload["metrics"] = _obs.default_registry().to_dict()
+    return payload
 
 
 @dataclass

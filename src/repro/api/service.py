@@ -44,7 +44,7 @@ from repro.bpf.canon import CachedVerdict, VerdictCache
 from repro.bpf.program import Program
 from repro.bpf.verifier import Verifier
 
-from .models import Verdict, VerifyRequest, faults_echo, precision_summary
+from .models import Verdict, VerifyRequest, precision_summary, with_diagnostics
 
 __all__ = [
     "VerificationService",
@@ -375,12 +375,9 @@ class VerificationService:
                 "workers": self.workers,
                 "cache_entries": len(self.cache),
             }
-        echo = faults_echo()
-        if echo is not None:
-            # A chaos harness asserts on this: the probe proves the
-            # process is actually running the armed plan.
-            payload["faults"] = echo
-        return payload
+        # A chaos harness asserts on the fault echo: the probe proves
+        # the process is actually running the armed plan.
+        return with_diagnostics(payload)
 
     def summary_line(self) -> str:
         """One greppable shutdown line (mirrors the campaign CLI's)."""

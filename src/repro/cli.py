@@ -61,7 +61,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+import threading
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+
+if TYPE_CHECKING:
+    from repro.httpd import HttpServer
 
 __all__ = ["main", "build_parser"]
 
@@ -1018,8 +1023,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import threading
-
     from repro.api import ApiServer, VerificationService
 
     failed = _arm_faults(args)
@@ -1038,55 +1041,76 @@ def _cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    stop = threading.Event()
-    restore = _install_stop_handlers(stop)
-    try:
-        with _obs_session(args):
-            try:
-                server = ApiServer(
-                    service, host=args.host, port=args.port
-                ).start()
-            except OSError as exc:  # port in use, bad bind address
-                print(f"error: cannot bind {args.host}:{args.port}: "
-                      f"{exc.strerror or exc}", file=sys.stderr)
-                service.close()
-                return 2
-            print(f"serve: {server.url}  "
-                  f"(POST /verify, GET /verdict/<hash>, /healthz, "
-                  f"/stats, /metrics)", flush=True)
-            if args.verdict_cache:
-                print(f"serve: verdict store {args.verdict_cache} "
-                      f"({len(service.cache)} entries)", flush=True)
-            if args.max_queue is not None or args.request_timeout is not None:
-                print(f"serve: max-queue="
-                      f"{args.max_queue if args.max_queue is not None else 'unbounded'} "
-                      f"request-timeout="
-                      f"{args.request_timeout if args.request_timeout is not None else 'none'}",
-                      flush=True)
-            try:
-                while not stop.wait(0.5):
-                    pass
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.stop()
-                service.close()
-    finally:
-        restore()
+    def banner(url: str) -> str:
+        lines = [f"serve: {url}  (POST /verify, GET /verdict/<hash>, "
+                 f"/healthz, /stats, /metrics)"]
+        if args.verdict_cache:
+            lines.append(f"serve: verdict store {args.verdict_cache} "
+                         f"({len(service.cache)} entries)")
+        if args.max_queue is not None or args.request_timeout is not None:
+            lines.append(
+                f"serve: max-queue="
+                f"{args.max_queue if args.max_queue is not None else 'unbounded'} "
+                f"request-timeout="
+                f"{args.request_timeout if args.request_timeout is not None else 'none'}"
+            )
+        return "\n".join(lines)
+
+    with _obs_session(args):
+        try:
+            served = _serve_until_stopped(
+                ApiServer(service, host=args.host, port=args.port), banner
+            )
+        finally:
+            service.close()
+    if not served:
+        return 2
     print("serve: shutdown")
     print(service.summary_line())
     _print_obs_outputs(args)
     return 0
 
 
-def _install_stop_handlers(stop) -> "Callable[[], None]":
-    """SIGINT/SIGTERM -> set ``stop``; returns an undo callable.
+def _serve_until_stopped(
+    server: HttpServer,
+    banner: Callable[[str], str],
+    tick: Optional[Callable[[], bool]] = None,
+) -> bool:
+    """Start ``server``, print ``banner(url)``, serve until SIGINT/SIGTERM.
+
+    ``tick`` runs every half second; serving also ends once it returns
+    True.  Returns False, after one ``error: cannot bind`` line, when the
+    server cannot bind (callers exit 2).
+    """
+    with _stop_on_signals() as stop:
+        try:
+            server.start()
+        except OSError as exc:  # port in use, bad bind address
+            print(f"error: cannot bind {server.host}:{server.port}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return False
+        print(banner(server.url), flush=True)
+        try:
+            while not stop.wait(0.5):
+                if tick is not None and tick():
+                    break
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.stop()
+    return True
+
+
+@contextmanager
+def _stop_on_signals() -> Iterator[threading.Event]:
+    """Yield an event that SIGINT/SIGTERM set instead of ending the run.
 
     Registration fails outside the main thread (tests drive the CLI
     from threads) — there KeyboardInterrupt handling alone applies.
     """
     import signal
 
+    stop = threading.Event()
     previous = {}
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -1095,18 +1119,14 @@ def _install_stop_handlers(stop) -> "Callable[[], None]":
             )
     except ValueError:
         pass
-
-    def restore() -> None:
-        import signal as _signal
-
+    try:
+        yield stop
+    finally:
         for signum, handler in previous.items():
-            _signal.signal(signum, handler)
-
-    return restore
+            signal.signal(signum, handler)
 
 
 def _cmd_coordinate(args) -> int:
-    import threading
     from pathlib import Path
 
     from repro.api.dist import CoordinatorApi
@@ -1150,38 +1170,29 @@ def _cmd_coordinate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    stop = threading.Event()
-    restore = _install_stop_handlers(stop)
-    try:
-        with _obs_session(args):
-            try:
-                coordinator = Coordinator(spec, args.state, config=config)
-            except CampaignStateError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            try:
-                server = CoordinatorApi(
-                    coordinator, host=args.host, port=args.port
-                ).start()
-            except OSError as exc:  # port in use, bad bind address
-                print(f"error: cannot bind {args.host}:{args.port}: "
-                      f"{exc.strerror or exc}", file=sys.stderr)
-                return 2
-            print(f"coordinate: {server.url}  "
-                  f"(POST /lease, POST /result, GET /round, /healthz, "
-                  f"/stats)", flush=True)
-            print(f"coordinate: campaign {coordinator.cid} "
-                  f"budget={args.budget} rounds={args.rounds} "
-                  f"seed={args.seed} state={args.state}", flush=True)
-            try:
-                while not coordinator.finished and not stop.wait(0.5):
-                    coordinator.tick()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.stop()
-    finally:
-        restore()
+    with _obs_session(args):
+        try:
+            coordinator = Coordinator(spec, args.state, config=config)
+        except CampaignStateError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+        def tick() -> bool:
+            coordinator.tick()
+            return coordinator.finished
+
+        if not _serve_until_stopped(
+            CoordinatorApi(coordinator, host=args.host, port=args.port),
+            lambda url: (
+                f"coordinate: {url}  (POST /lease, POST /result, "
+                f"GET /round, /healthz, /stats)\n"
+                f"coordinate: campaign {coordinator.cid} "
+                f"budget={args.budget} rounds={args.rounds} "
+                f"seed={args.seed} state={args.state}"
+            ),
+            tick,
+        ):
+            return 2
 
     result = coordinator.result()
     if not coordinator.finished:
@@ -1215,8 +1226,6 @@ def _cmd_coordinate(args) -> int:
 
 
 def _cmd_work(args) -> int:
-    import threading
-
     from repro.fuzz.dist import (
         CoordinatorUnreachable,
         DistProtocolError,
@@ -1226,22 +1235,17 @@ def _cmd_work(args) -> int:
     failed = _arm_faults(args)
     if failed is not None:
         return failed
-    stop = threading.Event()
-    restore = _install_stop_handlers(stop)
-    try:
-        with _obs_session(args):
-            try:
-                out = run_worker(
-                    args.coordinator,
-                    name=args.name,
-                    stop=stop,
-                    poll_interval_s=args.poll_interval,
-                )
-            except (CoordinatorUnreachable, DistProtocolError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    finally:
-        restore()
+    with _stop_on_signals() as stop, _obs_session(args):
+        try:
+            out = run_worker(
+                args.coordinator,
+                name=args.name,
+                stop=stop,
+                poll_interval_s=args.poll_interval,
+            )
+        except (CoordinatorUnreachable, DistProtocolError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(f"work: {out['worker']} executed {out['batches']} batch(es), "
           f"{out['programs']} program(s), {out['errors']} error(s), "
           f"{out['duplicates']} duplicate ack(s)")
@@ -1251,7 +1255,6 @@ def _cmd_work(args) -> int:
 
 def _cmd_stats(args) -> int:
     import json
-    import time
     from pathlib import Path
 
     from repro import obs
@@ -1280,18 +1283,11 @@ def _cmd_stats(args) -> int:
             return 2
 
     if args.serve:
-        server = obs.StatsServer(
-            lambda: registry, obs_dir=obs_dir, port=args.port
-        ).start()
-        print(f"serving {server.url} (/metrics, /stats) — Ctrl-C to stop")
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-        return 0
+        served = _serve_until_stopped(
+            obs.StatsServer(lambda: registry, obs_dir=obs_dir, port=args.port),
+            lambda url: f"serving {url} (/metrics, /stats) — Ctrl-C to stop",
+        )
+        return 0 if served else 2
 
     if args.json:
         payload = obs.StatsServer(

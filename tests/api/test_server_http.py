@@ -6,6 +6,7 @@ service can grow additive fields without breaking clients (or these
 tests).
 """
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -13,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.api import ApiServer, VerificationService
+from repro.api.server import MAX_BODY_BYTES
 from repro.bpf import assemble
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
@@ -177,6 +179,23 @@ class TestRejections:
         post_wire(server, b"\x01\x02\x03")
         _, stats = get(server, "/stats")
         assert stats["service"]["rejections"] >= 1
+
+    @pytest.mark.parametrize("length,status", [
+        (None, 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 422),
+    ])
+    def test_body_limit_rejections_are_counted(self, server, length, status):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=5)
+        try:
+            conn.putrequest("POST", "/verify")
+            if length is not None:
+                conn.putheader("Content-Length", length)
+            conn.endheaders()
+            assert conn.getresponse().status == status
+        finally:
+            conn.close()
+        _, stats = get(server, "/stats")
+        assert stats["service"]["rejections"] == 1
 
     def test_unknown_path_is_404(self, server):
         status, body = get(server, "/nope")

@@ -56,8 +56,13 @@ def test_unknown_route_is_404(registry):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")
         assert excinfo.value.code == 404
+        body = json.loads(excinfo.value.read())
     finally:
         server.stop()
+    # The repo-wide error envelope, not plain text.
+    assert body["schema_version"] == 1
+    assert body["error"]["code"] == "not-found"
+    assert isinstance(body["error"]["message"], str)
 
 
 def test_live_registry_mutations_are_visible(registry):
