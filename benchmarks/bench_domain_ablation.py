@@ -1,9 +1,10 @@
 """Ablation: reduced product (tnum × interval) vs each domain alone.
 
-DESIGN.md §6 calls this out.  Over random expression DAGs built from the
-operator mix BPF scalar code exhibits, measure the mean log2 cardinality
-of the resulting abstract value under the tnum domain, the interval
-domain, and their reduced product.  Lower = more precise.
+Listed in README.md's "Reproduction notes".  Over random expression
+DAGs built from the operator mix BPF scalar code exhibits, measure the
+mean log2 cardinality of the resulting abstract value under the tnum
+domain, the interval domain, and their reduced product.  Lower = more
+precise.
 
 The headline shape to establish: the product is never worse than either
 component; bitwise-heavy expressions are where the tnum (the paper's

@@ -60,7 +60,7 @@ def test_fig5_render_cdf_and_speedups(benchmark, pairs, out_dir):
     """Regenerates the full Figure 5 artifact (CDF + mean table)."""
 
     def run():
-        return time_algorithms(pairs, trials=3, include_naive=False)
+        return time_algorithms(pairs, include_naive=False)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     speedups = speedup_summary(results)

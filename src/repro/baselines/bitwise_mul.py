@@ -18,7 +18,7 @@ Two variants are provided, matching the paper's evaluation:
 
 from __future__ import annotations
 
-from repro.core._raw import add_raw
+from repro.core._raw import add_raw, add_unknown_raw
 from repro.core.arithmetic import tnum_add
 from repro.core.shifts import tnum_lshift
 from repro.core.tnum import Tnum, mask_for_width
@@ -84,14 +84,14 @@ def bitwise_mul_opt(p: Tnum, q: Tnum) -> Tnum:
     killed_m = (qv | qm) & limit
     # Faithful to Listing 5: the accumulate runs on every iteration, even
     # when the partial product is the zero tnum (certain-0 trit of P).
+    # Partial products other than a certain 1's have a 0 value lane.
     for i in range(width):
         bit_v = (pv >> i) & 1
         bit_m = (pm >> i) & 1
         if bit_v and not bit_m:
-            prod_v, prod_m = (qv << i) & limit, (qm << i) & limit
+            tv, tm = add_raw(tv, tm, (qv << i) & limit, (qm << i) & limit, limit)
         elif bit_m:
-            prod_v, prod_m = 0, (killed_m << i) & limit
+            tv, tm = add_unknown_raw(tv, tm, (killed_m << i) & limit, limit)
         else:
-            prod_v, prod_m = 0, 0
-        tv, tm = add_raw(tv, tm, prod_v, prod_m, limit)
+            tv, tm = add_unknown_raw(tv, tm, 0, limit)
     return Tnum(tv, tm, width)

@@ -17,7 +17,7 @@ tnum additions whose operands mix certain and uncertain trits.
 
 from __future__ import annotations
 
-from repro.core._raw import add_raw
+from repro.core._raw import add_unknown_raw
 from repro.core.tnum import Tnum, mask_for_width
 
 __all__ = ["kern_mul", "hma"]
@@ -27,7 +27,7 @@ def _hma_raw(av: int, am: int, x: int, y: int, limit: int):
     """``hma`` on bare value/mask words (the kernel's own style)."""
     while y:
         if y & 1:
-            av, am = add_raw(av, am, 0, x, limit)
+            av, am = add_unknown_raw(av, am, x, limit)
         y >>= 1
         x = (x << 1) & limit
     return av, am

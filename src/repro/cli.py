@@ -632,9 +632,7 @@ def _cmd_eval(args) -> int:
             time_algorithms,
         )
 
-        results = time_algorithms(
-            generate_pairs(args.pairs, seed=args.seed), trials=3
-        )
+        results = time_algorithms(generate_pairs(args.pairs, seed=args.seed))
         print(render_fig5(results))
         for name, frac in speedup_summary(results).items():
             print(f"our_mul vs {name}: {100 * frac:.1f}% faster")

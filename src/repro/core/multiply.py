@@ -19,7 +19,7 @@ suite checks that exhaustively at small widths.
 
 from __future__ import annotations
 
-from ._raw import add_raw
+from ._raw import add_mask_raw, add_unknown_raw
 from .arithmetic import tnum_add
 from .shifts import tnum_lshift, tnum_rshift
 from .tnum import Tnum, mask_for_width
@@ -35,7 +35,8 @@ def our_mul(p: Tnum, q: Tnum) -> Tnum:
     the strength-reduced early exit noted in §III-C.
 
     The loop works on bare value/mask words, exactly like the kernel's C —
-    see :mod:`repro.core._raw` — so the Fig. 5 performance comparison
+    see :mod:`repro.core._raw`, whose folding rule drops ACC_M's
+    constant-zero value lane — so the Fig. 5 performance comparison
     measures the algorithms, not Python object allocation.
     """
     if p.width != q.width:
@@ -45,25 +46,23 @@ def our_mul(p: Tnum, q: Tnum) -> Tnum:
         return Tnum.bottom(width)
     limit = mask_for_width(width)
     acc_v = (p.value * q.value) & limit
-    acc_mv = 0
-    acc_mm = 0
+    # ACC_M's value lane is always 0, so only its mask lane is kept.
+    acc_m = 0
     pv, pm = p.value, p.mask
     qv, qm = q.value, q.mask
     while pv or pm:
         if (pv & 1) and not (pm & 1):
             # LSB of P is a certain 1: Q's uncertainty joins the product.
-            acc_mv, acc_mm = add_raw(acc_mv, acc_mm, 0, qm, limit)
+            acc_m = add_mask_raw(acc_m, qm, limit)
         elif pm & 1:
             # LSB of P is unknown: any bit possibly set in Q may appear.
-            acc_mv, acc_mm = add_raw(
-                acc_mv, acc_mm, 0, (qv | qm) & limit, limit
-            )
+            acc_m = add_mask_raw(acc_m, (qv | qm) & limit, limit)
         # A certain-0 LSB contributes nothing.
         pv >>= 1
         pm >>= 1
         qv = (qv << 1) & limit
         qm = (qm << 1) & limit
-    rv, rm = add_raw(acc_v, 0, acc_mv, acc_mm, limit)
+    rv, rm = add_unknown_raw(acc_v, 0, acc_m, limit)
     return Tnum(rv, rm, width)
 
 

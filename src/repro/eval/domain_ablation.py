@@ -1,11 +1,12 @@
 """Ablation: tnum alone vs interval alone vs the reduced product.
 
-DESIGN.md calls out measuring what the verifier's *combination* of
-domains buys over each domain individually.  This harness evaluates all
-three abstractions over random expression DAGs (the shapes BPF scalar
-code produces: masks, adds, shifts, subtractions, branches' ranges) and
-scores each by the cardinality of its final abstract value — smaller is
-more precise — always checking soundness against concrete evaluation.
+README.md's "Reproduction notes" list this ablation: it measures what
+the verifier's *combination* of domains buys over each domain
+individually.  This harness evaluates all three abstractions over random
+expression DAGs (the shapes BPF scalar code produces: masks, adds,
+shifts, subtractions, branches' ranges) and scores each by the
+cardinality of its final abstract value — smaller is more precise —
+always checking soundness against concrete evaluation.
 
 The expected result, and what the benchmark asserts: the reduced product
 is never worse than either component and strictly better on a large

@@ -6,10 +6,11 @@ the minimum of 10 trials per pair, and reports the CDF of cycles for
 our_mul averages 262 cycles vs 393 (kern) and 387 (bitwise) — 33% / 32%
 faster — and the *naive* bitwise_mul costs ~4921 cycles.
 
-Substitution (see DESIGN.md): RDTSC → ``time.perf_counter_ns``; sample
-counts default far below 40M because pure Python is ~100× slower per
-multiply.  Relative ordering and CDF shape — who is fastest, by roughly
-what factor — are the reproduction targets.
+Substitution (see README.md's "Reproduction notes"): RDTSC →
+``time.perf_counter_ns``; sample counts default far below 40M because
+pure Python is ~100× slower per multiply.  Relative ordering and CDF
+shape — who is fastest, by roughly what factor — are the reproduction
+targets.
 
 Beyond the paper's operator microbenchmarks, this module measures the
 *system-level* number the fuzzing ROADMAP tracks — differential-fuzz

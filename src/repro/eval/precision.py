@@ -9,7 +9,7 @@ is more precise when they differ.
 The paper runs n=8 for Figure 4 and n=5..10 for Table I on a 20-core
 Skylake; pure Python is ~two orders of magnitude slower, so the default
 widths here are smaller (the trends in the paper's own Table I are stable
-across widths — see DESIGN.md's substitution notes).  All entry points
+across widths — see README.md's "Reproduction notes").  All entry points
 take a ``width`` argument, so the paper's exact configuration can be
 requested when time permits.
 

@@ -7,9 +7,10 @@ fast and serves as an independent oracle for both the operator
 implementations and the SAT encodings.
 
 The paper ran Z3 to 64 bits for the linear operators; our substitution
-(documented in DESIGN.md) is exhaustive checks at small widths plus
-randomized 64-bit checks in :mod:`repro.verify.random_check` — together
-they exercise the same verification conditions.
+(documented in README.md's "Reproduction notes") is exhaustive checks
+at small widths plus randomized 64-bit checks in
+:mod:`repro.verify.random_check` — together they exercise the same
+verification conditions.
 """
 
 from __future__ import annotations

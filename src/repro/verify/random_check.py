@@ -5,8 +5,8 @@ input tnums, execute the operator, and confirm via the membership
 predicate that concrete results stay inside the abstract result.  This is
 the full-width complement to the exhaustive small-width checker — our SAT
 solver cannot reach 64 bits for the non-linear operators, so (as recorded
-in DESIGN.md) random checking at width 64 covers the production
-configuration.
+in README.md's "Reproduction notes") random checking at width 64 covers
+the production configuration.
 
 Random tnum generation guarantees well-formedness by masking the value
 with the complement of the mask (every ``(v & ~m, m)`` pair is

@@ -74,9 +74,10 @@ class TestSoundness:
 class TestStrengthReduction:
     """Lemma 11: our_mul ≡ our_mul_simplified."""
 
-    def test_equivalent_exhaustive_width3(self):
-        for p in enumerate_tnums(3):
-            for q in enumerate_tnums(3):
+    def test_equivalent_exhaustive_width5(self):
+        ts = enumerate_tnums(5)
+        for p in ts:
+            for q in ts:
                 assert our_mul(p, q) == our_mul_simplified(p, q)
 
     @settings(max_examples=300)
@@ -141,23 +142,26 @@ class TestAdditionCount:
     """our_mul performs at most n+1 tnum_adds vs kern_mul's up to 2n
     (§IV.A's explanation for the precision gap)."""
 
+    @staticmethod
+    def count_adds(monkeypatch, module):
+        """Count calls to the raw add helpers ``module`` imports."""
+        calls = [0]
+        for name in ("add_raw", "add_mask_raw", "add_unknown_raw"):
+            if hasattr(module, name):
+
+                def counting(*args, real=getattr(module, name)):
+                    calls[0] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
     def test_add_counts(self, monkeypatch):
         import repro.core.multiply as multiply_mod
         import repro.baselines.kernel_mul as kern_mod
-        from repro.core._raw import add_raw as real_add
 
-        counts = {"our": 0, "kern": 0}
-
-        def counting_add_our(*args):
-            counts["our"] += 1
-            return real_add(*args)
-
-        def counting_add_kern(*args):
-            counts["kern"] += 1
-            return real_add(*args)
-
-        monkeypatch.setattr(multiply_mod, "add_raw", counting_add_our)
-        monkeypatch.setattr(kern_mod, "add_raw", counting_add_kern)
+        our = self.count_adds(monkeypatch, multiply_mod)
+        kern = self.count_adds(monkeypatch, kern_mod)
 
         # Input driving both of kern_mul's hma passes: P all known 1s
         # (its value feeds the second hma), Q all unknown.
@@ -165,6 +169,5 @@ class TestAdditionCount:
         q = Tnum.unknown(W)
         multiply_mod.our_mul(p, q)
         kern_mod.kern_mul(p, q)
-        assert counts["our"] <= W + 1
-        assert counts["kern"] == 2 * W
-        assert counts["kern"] > counts["our"]
+        assert our[0] == W + 1
+        assert kern[0] == 2 * W
