@@ -11,9 +11,10 @@ routed through one shared :class:`~repro.bpf.canon.VerdictCache`:
 
 * **hit** — answered without a walk, O(1); the dominant pattern at
   scale is repeat submissions, and this is what makes them cheap.
-* **miss** — verified on a bounded worker pool that reuses the PR 5
-  per-instruction closure caches (``Program.compiled_verifier``), then
-  stored, so the next structurally identical submission hits.
+* **miss** — verified on a bounded worker pool by the one abstract
+  walk (:meth:`~repro.bpf.verifier.Verifier.verify`, which keeps
+  nothing per program), then stored, so the next structurally
+  identical submission hits.
 * **concurrent identical misses** — *single-flight*: the first request
   in becomes the leader and verifies; the rest wait on its flight and
   answer from the freshly stored entry as cache hits.  N identical

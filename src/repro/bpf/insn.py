@@ -47,10 +47,11 @@ class Instruction:
         if not -(1 << 15) <= self.off < (1 << 15):
             raise ValueError(f"offset {self.off} out of s16 range")
         # Classification is pure opcode arithmetic, queried many times per
-        # instruction by the CFG builder, the verifier compilers, and the
-        # assembler round-trips — compute the class bits once.  (A frozen
-        # dataclass still permits object.__setattr__; ``_cls`` is not a
-        # field, so equality/repr/hashing are untouched.)
+        # instruction by the CFG builder, the abstract walk, the compiled
+        # interpreter, and the assembler round-trips — compute the class
+        # bits once.  (A frozen dataclass still permits
+        # object.__setattr__; ``_cls`` is not a field, so
+        # equality/repr/hashing are untouched.)
         cls = self.opcode & 0x07
         object.__setattr__(self, "_cls", cls)
         if self.is_lddw():

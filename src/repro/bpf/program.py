@@ -18,7 +18,6 @@ from .insn import _LDDW_OPCODE, Instruction, decode_program, encode_program
 
 if TYPE_CHECKING:
     from .compiled import CompiledProgram
-    from .verifier.compiled import CompiledVerifierProgram
 
 __all__ = ["Program", "ProgramError"]
 
@@ -56,15 +55,12 @@ class Program:
         self._slot_of_index = slot_of_index
         self._index_of_slot: List[int] = index_of_slot
         self._total_slots = len(index_of_slot)
-        # Compiled forms are keyed on ``obs.compile_tag()`` as well as
-        # their natural key: tag 0 is the pristine uninstrumented form,
-        # nonzero tags carry per-operator timing shims, and toggling
-        # observability must never serve a stale mix of the two.
+        # The compiled form is keyed on ``obs.compile_tag()``: tag 0 is
+        # the pristine uninstrumented form, nonzero tags carry
+        # per-operator timing shims, and toggling observability must
+        # never serve a stale mix of the two.
         self._compiled: Optional["CompiledProgram"] = None
         self._compiled_tag = 0
-        self._compiled_verifier: Dict[
-            "tuple[int, int]", "CompiledVerifierProgram"
-        ] = {}
         self._canonical_hash: Optional[str] = None
         self._validate_jumps()
 
@@ -110,26 +106,6 @@ class Program:
             cp = self._compiled = compile_program(self)
             self._compiled_tag = tag
         return cp
-
-    def compiled_verifier(self, ctx_size: int = 64) -> "CompiledVerifierProgram":
-        """The compile-once abstract-verifier form, cached per ctx size.
-
-        Mirrors :meth:`compiled` on the abstract side: the step/branch
-        closures, the CFG, and its reverse post-order are built once, so
-        every re-verification of the same program (shrinker predicates,
-        campaign replays) pays only the walk.  Raises
-        :class:`~repro.bpf.cfg.CFGError` for structurally invalid
-        programs (never cached — the caller reports those per attempt).
-        """
-        key = (ctx_size, _obs.compile_tag())
-        cv = self._compiled_verifier.get(key)
-        if cv is None:
-            from .verifier.compiled import compile_verifier
-
-            cv = self._compiled_verifier[key] = compile_verifier(
-                self, ctx_size
-            )
-        return cv
 
     def canonical_hash(self) -> str:
         """Content hash of the canonical form, lazily computed and cached.

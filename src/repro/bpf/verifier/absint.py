@@ -18,30 +18,26 @@ Safety checks enforced (each mirrors a kernel check):
 * ``exit`` requires an initialized scalar r0 (no pointer leaks via r0);
 * r10 (frame pointer) is read-only.
 
-Two execution engines share these semantics:
-
-* :meth:`Verifier.verify` runs the *compiled* walk: each instruction is
-  compiled exactly once (per program × ctx size) into a specialized
-  abstract-step closure (:mod:`repro.bpf.verifier.compiled`), cached on
-  the :class:`~repro.bpf.program.Program`, so the hot loop is one
-  closure call per instruction;
-* :meth:`Verifier.verify_reference` is the original decode-every-visit
-  walk, retained as the differential-testing baseline
-  (``tests/bpf/test_verifier_compiled.py`` holds the two byte-equal).
-
-The transfer primitives below (register reads/writes, scalar ALU,
-pointer arithmetic, subregister truncation, branch refinement) are
-module-level functions used by *both* engines, so the compiled closures
-cannot drift from the reference semantics.
+:meth:`Verifier.verify` is the one abstract walk.  It decodes each
+instruction as it visits it and dispatches through
+:meth:`Verifier._transfer` and :meth:`Verifier._branch` — the same
+methods :class:`~repro.bpf.verifier.paths.PathSensitiveVerifier`
+explores paths with — and keeps nothing between calls: no per-program
+compiled form and no module-level cache of walk state.  Once per basic
+block it checks the optional ``deadline_s`` watchdog and the
+``verify.hang`` fault site; with :mod:`repro.obs` enabled it charges
+each instruction's time to a ``verifier`` timer labelled by
+:func:`step_label`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro import faults as _faults
+from repro import obs as _obs
 from repro.bpf import isa
 from repro.bpf.cfg import CFGError, build_cfg
 from repro.bpf.insn import Instruction
@@ -59,7 +55,7 @@ from .state import AbstractState, RegState, Region
 if TYPE_CHECKING:
     from repro.bpf.canon import VerdictCache
 
-__all__ = ["Verifier", "verify_program", "transfer_label"]
+__all__ = ["Verifier", "verify_program", "transfer_label", "step_label"]
 
 U64 = (1 << 64) - 1
 
@@ -75,9 +71,8 @@ def transfer_label(insn: Instruction) -> Optional[str]:
     are labelled (``mov32``) because subregister truncation is itself a
     transfer the campaign wants attributed.
 
-    The label depends only on the opcode byte, so results are memoized —
-    the verifier compiler resolves one per instruction and the reference
-    walk one per telemetry event.
+    The label depends only on the opcode byte, so results are memoized;
+    the walk resolves one per telemetry event.
     """
     try:
         return _LABEL_CACHE[insn.opcode]
@@ -104,6 +99,36 @@ def _transfer_label_uncached(insn: Instruction) -> Optional[str]:
         name = isa.JMP_OP_NAMES.get(op)
         return f"refine_{name}{width}" if name else None
     return None
+
+
+def step_label(insn: Instruction) -> str:
+    """Operator label an instruction's verifier work is charged to.
+
+    The transfer-function name where one exists (``mul64``,
+    ``refine_jgt64``, ...), else a structural class (``load``,
+    ``store``, ``lddw``, ``mov64``, a jump mnemonic, ``exit``).  Shared
+    by the campaign's rejection attribution and the obs per-operator
+    timing, so "which operator costs time" and "which operator loses
+    precision" rank over the same label space.
+    """
+    label = transfer_label(insn)
+    if label is not None:
+        return label
+    if insn.is_lddw():
+        return "lddw"
+    cls = insn.cls()
+    if cls == isa.CLS_LDX:
+        return "load"
+    if cls in (isa.CLS_ST, isa.CLS_STX):
+        return "store"
+    if cls in (isa.CLS_ALU, isa.CLS_ALU64):
+        return "mov64"
+    if insn.is_exit():
+        return "exit"
+    if insn.is_jump():
+        return isa.JMP_OP_NAMES.get(isa.BPF_OP(insn.opcode), "jump")
+    return "other"
+
 
 #: Dispatch table for the plain binary scalar transfers — resolved once
 #: at import instead of an if-chain per instruction (shift and mov/neg
@@ -135,7 +160,7 @@ _MIRRORED_OPS = {
 }
 
 
-# -- shared transfer primitives (reference walk + compiled closures) ----------
+# -- transfer primitives -------------------------------------------------------
 
 
 def _read_reg(state: AbstractState, reg: int, idx: int) -> RegState:
@@ -267,9 +292,8 @@ def _pointer_alu(
 # -- branch refinement builders ------------------------------------------------
 #
 # ``_REFINERS[op](value, bound)`` returns the refined ``(taken,
-# fall-through)`` scalars for ``value <op> bound`` — the compiled walk
-# pre-selects the builder per jump instruction; the reference walk
-# resolves it per visit through :meth:`Verifier._refine`.
+# fall-through)`` scalars for ``value <op> bound``; the walk resolves it
+# per visit through :meth:`Verifier._refine`.
 
 
 def _refine_jset(value: ScalarValue, bound: int) -> Tuple[None, ScalarValue]:
@@ -315,9 +339,8 @@ def _apply_refinement(
     """Install a refinement pair into the branch successor states.
 
     Single source of truth for the write / infeasibility-flag /
-    telemetry protocol — both engines and both operand orientations
-    (register-vs-bound and mirrored constant-on-left) go through here,
-    so compiled/reference parity cannot drift.
+    telemetry protocol: both operand orientations (register-vs-bound and
+    mirrored constant-on-left) go through here.
     """
     if taken_scalar is not None:
         taken.set_reg(reg, RegState.from_scalar(taken_scalar))
@@ -359,6 +382,31 @@ _REFINERS: Dict[
 }
 
 
+_R = TypeVar("_R")
+
+
+def _timed(
+    fn: Callable[[AbstractState, Instruction, int], _R],
+) -> Callable[[AbstractState, Instruction, int], _R]:
+    """Wrap ``_transfer`` or ``_branch`` in a per-operator timer.
+
+    The registry is resolved through :func:`repro.obs.record_op_time` at
+    call time, so worker-scoped registries (merge-on-return) see the
+    samples.
+    """
+    clock = time.perf_counter_ns
+    record = _obs.record_op_time
+
+    def timed(state: AbstractState, insn: Instruction, idx: int) -> _R:
+        t0 = clock()
+        try:
+            return fn(state, insn, idx)
+        finally:
+            record("verifier", step_label(insn), clock() - t0)
+
+    return timed
+
+
 @dataclass
 class Verifier:
     """Verify one program; optionally retain per-instruction states.
@@ -367,14 +415,13 @@ class Verifier:
     at entry (kernel programs get a type-specific ctx; we use a flat
     blob).
 
-    Subclassing note: :meth:`verify` executes pre-compiled closures that
-    call the *module-level* transfer primitives directly — overriding
-    the per-instruction internals (``_refine``, ``_transfer``,
-    ``_branch``, ``_read_reg``, ...) in a subclass affects only
-    :meth:`verify_reference` (and :class:`PathSensitiveVerifier`, which
-    dispatches through them).  Experiments that hook the transfer layer
-    should run through ``verify_reference`` or patch the module
-    functions, which both engines honor.
+    Subclassing note: the walk dispatches every instruction through
+    :meth:`_transfer` and every block-ending conditional jump through
+    :meth:`_branch` (which refines through :meth:`_refine`), so
+    overriding those methods changes :meth:`verify` and
+    :class:`PathSensitiveVerifier` alike.  The ALU, memory and
+    refinement helpers they call are module-level functions; patch those
+    in the module to hook below that layer.
     """
 
     ctx_size: int = 64
@@ -392,8 +439,8 @@ class Verifier:
     #: verified at this ``ctx_size`` from the cache, replaying the
     #: recorded transfer stream into ``on_transfer`` instead of walking.
     verdict_cache: Optional["VerdictCache"] = None
-    #: wall-clock watchdog for the compiled walk: when set, the walk
-    #: checks ``time.monotonic()`` once per basic block and stops with a
+    #: wall-clock watchdog for the walk: when set, the walk checks
+    #: ``time.monotonic()`` once per basic block and stops with a
     #: structured timeout rejection (``VerifierError.timeout``) instead
     #: of running unbounded.  Timeout results are never cached — the
     #: deadline is a property of the *request*, not the program.
@@ -402,13 +449,7 @@ class Verifier:
     # -- public API -----------------------------------------------------------
 
     def verify(self, program: Program) -> VerificationResult:
-        """Compiled walk: one pre-specialized closure per instruction.
-
-        The compiled form (closures + CFG + traversal order) is built
-        once per (program, ctx_size) and cached on the program, so
-        re-verifying — shrinker predicates, campaign replays — pays only
-        the walk.  Semantics are byte-equal to
-        :meth:`verify_reference` (differentially tested).
+        """Verify ``program`` in one walk over its CFG.
 
         With a :attr:`verdict_cache` attached, the walk itself is skipped
         for structurally identical repeats: verdict, error detail, and
@@ -419,7 +460,7 @@ class Verifier:
         """
         cache = self.verdict_cache
         if cache is None or self.collect_states:
-            return self._verify_compiled(program, self.on_transfer)
+            return self._walk(program)
         key = (program.canonical_hash(), self.ctx_size)
         entry = cache.get(key)
         note = self.on_transfer
@@ -438,27 +479,35 @@ class Verifier:
             if note is not None:
                 note(idx, label, scalar)
 
-        result = self._verify_compiled(program, recording_note)
+        self.on_transfer = recording_note
+        try:
+            result = self._walk(program)
+        finally:
+            self.on_transfer = note
         if not result.timed_out:
             cache.store(key, result, events)
         return result
 
-    def _verify_compiled(
-        self,
-        program: Program,
-        note: Optional[Callable[[int, str, ScalarValue], None]],
-    ) -> VerificationResult:
+    def _walk(self, program: Program) -> VerificationResult:
+        """Visit the blocks in reverse post-order, joining at merges."""
         try:
-            compiled = program.compiled_verifier(self.ctx_size)
+            cfg = build_cfg(program)
         except CFGError as exc:
             err = VerifierError(0, f"bad control flow: {exc}", structural=True)
             return VerificationResult(False, [err])
 
+        # Timed or untimed, chosen once per call: with obs off the loop
+        # calls the transfer methods directly and carries no timing code.
+        transfer, branch = self._transfer, self._branch
+        if _obs.enabled():
+            transfer, branch = _timed(transfer), _timed(branch)
+        insns = program.insns
+        blocks = cfg.blocks
         collect = self.collect_states
-        in_states: Dict[int, AbstractState] = {0: AbstractState.entry_state()}
         merge = self._merge_into
+        in_states: Dict[int, AbstractState] = {0: AbstractState.entry_state()}
         processed = 0
-        # Watchdog + fault hooks, both hoisted: with no deadline and no
+        # Watchdog and fault site, both hoisted: with no deadline and no
         # armed fault plan (the default) the loop pays two falsy local
         # checks per *block*, nothing per instruction.
         deadline_at: Optional[float] = None
@@ -468,81 +517,45 @@ class Verifier:
         if _faults.enabled() and _faults.fire("verify.hang"):
             hang_s = _faults.arg("verify.hang")
         try:
-            for block in compiled.blocks:
+            for block_id in cfg.reverse_post_order():
+                block = blocks[block_id]
                 if hang_s:
                     time.sleep(hang_s)
                 if deadline_at is not None and time.monotonic() > deadline_at:
                     raise VerifierError(
-                        block.indices[0] if block.indices else block.term_idx,
+                        block.start,
                         f"verification exceeded its {self.deadline_s:g}s "
                         f"deadline after {processed} instructions",
                         timeout=True,
                     )
-                entry = in_states.get(block.block_id)
+                entry = in_states.get(block_id)
                 if entry is None:
                     continue  # no feasible path in (dead branch)
                 state = entry.copy()
-                if collect:
-                    record = self._record
-                    for idx, step in zip(block.indices, block.steps):
-                        record(idx, state)
-                        processed += 1
-                        step(state, note, idx)
-                else:
-                    for idx, step in zip(block.indices, block.steps):
-                        processed += 1
-                        step(state, note, idx)
-                branch = block.branch
-                if branch is not None:
+                end = block.end
+                for idx in range(block.start, end + 1):
                     if collect:
-                        self._record(block.term_idx, state)
-                    processed += 1
-                    fall, taken = branch(state, note, block.term_idx)
-                    succs = block.successors
-                    # Refinement can prove an edge infeasible (a register
-                    # refined to ⊥); such edges are dead paths and must
-                    # not be analyzed.
-                    if not fall.infeasible:
-                        merge(in_states, succs[0], fall)
-                    if not taken.infeasible:
-                        merge(in_states, succs[1], taken)
-                elif block.is_exit:
-                    self._check_exit(state, block.term_idx)
-                else:
-                    for succ in block.successors:
-                        merge(in_states, succ, state)
-        except VerifierError as exc:
-            return VerificationResult(False, [exc], processed)
-        return VerificationResult(True, [], processed)
-
-    def verify_reference(self, program: Program) -> VerificationResult:
-        """The original decode-every-visit walk (differential baseline)."""
-        try:
-            cfg = build_cfg(program)
-        except CFGError as exc:
-            err = VerifierError(0, f"bad control flow: {exc}", structural=True)
-            return VerificationResult(False, [err])
-
-        order = cfg.reverse_post_order()
-        in_states: Dict[int, AbstractState] = {0: AbstractState.entry_state()}
-        processed = 0
-        try:
-            for block_id in order:
-                if block_id not in in_states:
-                    continue  # no feasible path in (dead branch)
-                state = in_states[block_id].copy()
-                block = cfg.blocks[block_id]
-                branch_states: Optional[Tuple[AbstractState, AbstractState]] = None
-                for idx in range(block.start, block.end + 1):
-                    insn = program.insns[idx]
-                    if self.collect_states:
                         self._record(idx, state)
                     processed += 1
-                    if insn.is_cond_jump() and idx == block.end:
-                        branch_states = self._branch(state, insn, idx)
+                    insn = insns[idx]
+                    if idx == end and insn.is_cond_jump():
+                        fall, taken = branch(state, insn, idx)
+                        fall_to, taken_to = block.successors
+                        # Refinement can prove an edge infeasible (a
+                        # register refined to ⊥); such edges are dead
+                        # paths and must not be analyzed.
+                        if not fall.infeasible:
+                            merge(in_states, fall_to, fall)
+                        if not taken.infeasible:
+                            merge(in_states, taken_to, taken)
+                        break
+                    transfer(state, insn, idx)
+                else:  # the block ends in exit, ja, or a fall-through
+                    if insns[end].is_exit():
+                        self._check_exit(state, end)
                     else:
-                        self._transfer(state, insn, idx)
-                self._propagate(cfg, block, state, branch_states, in_states)
+                        for succ in block.successors:
+                            merge(in_states, succ, state)
         except VerifierError as exc:
             return VerificationResult(False, [exc], processed)
         return VerificationResult(True, [], processed)
@@ -557,31 +570,6 @@ class Verifier:
             self.states_at[idx] = self.states_at[idx].join(state)
         else:
             self.states_at[idx] = state.copy()
-
-    def _propagate(
-        self,
-        cfg,
-        block,
-        state: AbstractState,
-        branch_states: Optional[Tuple[AbstractState, AbstractState]],
-        in_states: Dict[int, AbstractState],
-    ) -> None:
-        last = cfg.program.insns[block.end]
-        if last.is_exit():
-            self._check_exit(state, block.end)
-            return
-        if branch_states is not None:
-            fall, taken = branch_states
-            targets = block.successors  # [fall-through, taken]
-            # Refinement can prove an edge infeasible (a register refined
-            # to ⊥); such edges are dead paths and must not be analyzed.
-            if self._feasible(fall):
-                self._merge_into(in_states, targets[0], fall)
-            if self._feasible(taken):
-                self._merge_into(in_states, targets[1], taken)
-            return
-        for succ in block.successors:
-            self._merge_into(in_states, succ, state)
 
     @staticmethod
     def _feasible(state: AbstractState) -> bool:
@@ -618,7 +606,7 @@ class Verifier:
     def _transfer(self, state: AbstractState, insn: Instruction, idx: int) -> None:
         cls = insn.cls()
         if insn.is_exit():
-            return  # checked by _propagate at block exit
+            return  # checked by the walk at block exit
         if insn.is_lddw():
             state.set_reg(insn.dst, RegState.const(insn.imm & U64))
             return
@@ -640,16 +628,8 @@ class Verifier:
                 return
         raise VerifierError(idx, f"unsupported opcode {insn.opcode:#04x}")
 
-    def _read_reg(self, state: AbstractState, reg: int, idx: int) -> RegState:
-        return _read_reg(state, reg, idx)
-
-    def _write_reg(self, state: AbstractState, reg: int, value: RegState, idx: int) -> None:
-        _write_reg(state, reg, value, idx)
-
-    # Module-level primitives re-exposed for tests/subclasses that poke
-    # at the transfer machinery directly.
+    # Re-exposed for tests that check subregister truncation directly.
     _subreg = staticmethod(_subreg)
-    _truncate32 = staticmethod(_truncate32)
 
     # -- ALU ------------------------------------------------------------------------
 

@@ -47,9 +47,8 @@ class PathSensitiveVerifier(Verifier):
         try:
             build_cfg(program)  # reuse structural checks (acyclic, reachable)
         except CFGError as exc:
-            return VerificationResult(
-                False, [VerifierError(0, f"bad control flow: {exc}")]
-            )
+            err = VerifierError(0, f"bad control flow: {exc}", structural=True)
+            return VerificationResult(False, [err])
 
         explored: Dict[int, List[AbstractState]] = {}
         stack: List[Tuple[int, AbstractState]] = [

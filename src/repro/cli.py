@@ -30,7 +30,7 @@ Subcommands
 ``bench``
     Measure fuzz-pipeline throughput (programs/sec) across the driver
     profiles, the abstract verifier alone (``verify_<profile>`` stages,
-    cold compiled-walk per program), and the precision campaign; emits a
+    one cold walk per program), and the precision campaign; emits a
     ``BENCH_*.json`` baseline and optionally diffs against a committed
     one (advisory by default — machines differ).  ``--json`` adds obs
     histogram summaries (p50/p90/p99 seconds per stage).

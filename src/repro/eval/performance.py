@@ -142,9 +142,9 @@ class ThroughputReport:
 
     ``metrics`` maps metric name to programs/sec: ``driver_<profile>``
     for the plain differential driver per opcode profile,
-    ``verify_<profile>`` for the abstract verifier alone (compiled walk,
-    cold per program: container construction, closure lookup, and the
-    full abstract interpretation are all inside the timed region),
+    ``verify_<profile>`` for the abstract verifier alone (cold per
+    program: container construction, CFG construction, and the full
+    abstract interpretation are all inside the timed region),
     ``verify_repeat`` for the verdict-cache hit path (canonical hash +
     cache lookup + telemetry replay on a warm
     :class:`~repro.bpf.canon.VerdictCache`, fresh ``Program`` containers
@@ -314,9 +314,9 @@ def measure_verifier_throughput(
     Programs are pre-generated outside the timed region (generation is
     driver cost, not verifier cost), but each timed pass re-wraps the
     instruction lists in fresh :class:`~repro.bpf.program.Program`
-    containers so every verification is *cold* — container maps, CFG,
-    and compiled-closure lookups are all paid inside the measurement,
-    exactly as the fuzz oracle pays them per generated program.
+    containers so every verification is *cold* — container maps and the
+    CFG are paid inside the measurement, exactly as the fuzz oracle pays
+    them per generated program.
     """
     from repro.bpf.program import Program
     from repro.bpf.verifier import Verifier

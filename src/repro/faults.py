@@ -13,7 +13,7 @@ The arming contract mirrors :mod:`repro.obs`'s zero-overhead switch:
 * injection is **off by default**, and the disabled path is a single
   module-attribute read (:func:`enabled`) — hot loops hoist even that
   (see the deadline/hang handling in
-  :meth:`repro.bpf.verifier.absint.Verifier._verify_compiled`);
+  :meth:`repro.bpf.verifier.absint.Verifier._walk`);
 * a plan is armed explicitly (:func:`arm`), via the ``--faults`` CLI
   flag, or via the ``REPRO_FAULTS`` environment variable (read at
   import time, so subprocesses — campaign workers under ``spawn``,

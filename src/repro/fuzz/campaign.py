@@ -46,7 +46,7 @@ from repro import obs as _obs
 from repro.bpf.canon import VerdictCache
 from repro.bpf.insn import Instruction
 from repro.bpf.program import Program
-from repro.bpf.verifier.compiled import step_label
+from repro.bpf.verifier.absint import step_label
 from repro.eval.precision import OperatorStats, PrecisionReport, gamma_bits
 
 from .corpus import Corpus
@@ -234,7 +234,7 @@ def _attribution_label(insn: Instruction) -> str:
     """Operator label a rejection at ``insn`` is charged to.
 
     Shared with the obs layer's per-operator timing
-    (:func:`repro.bpf.verifier.compiled.step_label`), so precision and
+    (:func:`repro.bpf.verifier.absint.step_label`), so precision and
     cost attribution rank over the same label space.
     """
     return step_label(insn)
@@ -255,7 +255,7 @@ _worker_spec: Optional[CampaignSpec] = None
 _worker_pool: Tuple[str, ...] = ()
 #: Pool programs decoded lazily, at most once per worker per round: many
 #: work items mutate the same base seed, and a decoded ``Program``
-#: carries its cached compiled (concrete and abstract) forms with it.
+#: carries its cached compiled form (for concrete replay) with it.
 _worker_pool_programs: Dict[int, Program] = {}
 #: Per-worker verdict cache.  Inline (workers == 1) it *is* the parent's
 #: cache; under multiprocessing each worker gets a private copy seeded
@@ -290,9 +290,9 @@ def _set_worker_state(
         # are never re-shipped as "new".
         _worker_cache = VerdictCache.from_payload(cache)
         _worker_cache_shared = False
-    # Workers inherit the parent's obs switch (compiled closures must
-    # instrument consistently) but no sinks — metrics return with each
-    # result via the scoped registry.
+    # Workers inherit the parent's obs switch (walks and compiled
+    # closures must instrument consistently) but no sinks — metrics
+    # return with each result via the scoped registry.
     if obs_state is not None:
         _obs.init_worker(obs_state)
 

@@ -153,9 +153,9 @@ def _set_worker_config(
 ) -> None:
     global _worker_config
     _worker_config = config
-    # Workers inherit the parent's obs switch (so their compiled
-    # closures instrument consistently) but no sinks — metrics travel
-    # back on each result via the scoped registry.
+    # Workers inherit the parent's obs switch (so their walks and
+    # compiled closures instrument consistently) but no sinks — metrics
+    # travel back on each result via the scoped registry.
     if obs_state is not None:
         _obs.init_worker(obs_state)
 

@@ -127,10 +127,7 @@ class DifferentialOracle:
         #: while the concrete replays (seed-dependent) still run.
         self.verdict_cache = verdict_cache
         #: one verifier reused across every checked program (its per-run
-        #: ``states_at`` is reset per call) — together with the compiled
-        #: abstract form cached on each :class:`Program`, re-checking a
-        #: program (shrinker predicates, campaign rounds) pays only the
-        #: walk, never re-dispatch or re-compilation.
+        #: ``states_at`` and ``on_transfer`` are reset per call).
         self._verifier = Verifier(
             ctx_size=self.ctx_size,
             collect_states=True,

@@ -19,11 +19,15 @@ nothing measurable:
 
 * hot paths guard on the single predicate :func:`enabled` (one module
   attribute read);
-* the compiled execution pipelines (:mod:`repro.bpf.compiled`,
-  :mod:`repro.bpf.verifier.compiled`) consult :func:`compile_tag` at
-  *compile* time and only wrap closures with timing when it is nonzero —
-  with obs disabled the compiled program is byte-for-byte the closures
-  shipped today, not instrumented code behind a flag check.
+* the abstract walk (:meth:`repro.bpf.verifier.Verifier.verify`) reads
+  it once per call and picks its timed or untimed loop then — with obs
+  disabled the loop calls the transfer methods directly and carries no
+  timing code;
+* the concrete interpreter's compiled form (:mod:`repro.bpf.compiled`)
+  consults :func:`compile_tag` at *compile* time and only wraps closures
+  with timing when it is nonzero — with obs disabled the compiled
+  program is byte-for-byte the bare closures, not instrumented code
+  behind a flag check.
 
 Enabling flips a process-global switch (:func:`enable` /
 :func:`configure`); :func:`compile_tag` changes value so cached compiled
@@ -117,8 +121,8 @@ __all__ = [
 ]
 
 _enabled = False
-#: Bumped on every enable so compiled-closure caches keyed on
-#: :func:`compile_tag` never serve stale (un)instrumented programs.
+#: Bumped on every enable so compiled programs keyed on
+#: :func:`compile_tag` never serve stale (un)instrumented closures.
 _generation = 0
 _registry = Registry()
 _tracer = NullTracer()
@@ -350,9 +354,9 @@ def write_metrics_snapshot() -> None:
 def worker_init_state() -> Optional[Tuple[bool, int]]:
     """Picklable obs state shipped to pool workers (None = disabled).
 
-    Workers get the enabled flag and generation (so their compiled
-    closures instrument consistently with the parent) but *no* sinks:
-    traces and heartbeats stay parent-side, metrics return via
+    Workers get the enabled flag and generation (so their walks and
+    compiled closures instrument consistently with the parent) but *no*
+    sinks: traces and heartbeats stay parent-side, metrics return via
     :func:`scoped_registry` snapshots on each result.
     """
     if not _enabled:

@@ -4,9 +4,10 @@ Design constraints, in order:
 
 1. **Zero overhead when disabled.**  Nothing in this module is consulted
    unless a caller first passes the single ``repro.obs.enabled()``
-   predicate, and the compiled execution pipelines go further — they
-   only *compile* instrumented closures when observability is on, so the
-   disabled hot path is byte-for-byte the uninstrumented code.
+   predicate, and the hot loops go further — the abstract walk picks
+   its timed loop once per call and the concrete interpreter only
+   *compiles* instrumented closures when observability is on, so the
+   disabled hot path is the uninstrumented code.
 2. **Deterministic merge.**  Campaign workers each fill a private
    registry and ship it back as a plain dict; the parent folds the dicts
    in index order.  Every merge operation (counter sum, bucket-wise

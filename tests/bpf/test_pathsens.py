@@ -45,6 +45,18 @@ class TestAgreementOnSimplePrograms:
         """)
         assert not join_res.ok and not path_res.ok
 
+    def test_bad_control_flow_is_structural_in_both(self):
+        # A ja-to-itself loop: a policy rejection, not an instruction's
+        # fault, so the oracle must not replay it and /verify must
+        # render it as structural.
+        join_res, path_res = _both("mov r0, 0\nspin:\nja spin\nexit")
+        for result in (join_res, path_res):
+            assert not result.ok
+            [error] = result.errors
+            assert error.structural
+            assert "bad control flow" in error.reason
+        assert str(join_res.errors[0]) == str(path_res.errors[0])
+
 
 class TestPathSensitivityGain:
     def test_path_only_program(self):

@@ -1,26 +1,40 @@
-"""Differential tests: compiled abstract verifier vs. the reference walk.
+"""Frozen golden of everything the abstract walk exposes.
 
-The compiled pipeline (:mod:`repro.bpf.verifier.compiled`) must be
-*semantically invisible*: for every program, :meth:`Verifier.verify`
-(compiled closures) and :meth:`Verifier.verify_reference` (the original
-decode-every-visit walk) must produce the same verdict, the same error
-index and message, the same ``insns_processed`` count, byte-equal
-``states_at`` maps, and identical ``on_transfer`` telemetry streams.
+Each case verifies its programs with ``collect_states`` and an
+``on_transfer`` listener and renders what :meth:`Verifier.verify`
+exposes: the verdict, each error's index, message and structural flag,
+``insns_processed``, the entry state at every instruction, and the
+transfer stream.  A sha256 over those renders must equal the case's
+digest in ``golden/walk_digests.json``.
 
-Coverage is two-pronged: an exhaustive ALU/jump opcode × width ×
-operand-source sweep over hand-built programs with boundary operands,
-and a fuzz sweep of ≥500 generator-produced programs per opcode profile
-(which exercises loads, stores, pointer arithmetic, helper calls,
-refinement chains, and the CFG/structural rejection paths end to end).
+The digests were recorded while the verifier still ran two walks, a
+compiled closure walk and the decode-every-visit walk that is now the
+only one, after checking that both rendered every program here
+identically.  This module keeps the name it had as the differential
+test between those two walks.
+
+Coverage: every ALU and conditional-jump opcode × width × operand
+source over boundary operands, hand-built rejections, and 500 generator
+programs per opcode profile (loads, stores, pointer arithmetic, helper
+calls, refinement chains, structural rejections).
 """
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Iterable, List
 
 import pytest
 
 from repro.bpf import Program, assemble
 from repro.bpf import isa
 from repro.bpf.insn import Instruction
-from repro.bpf.verifier import Verifier
+from repro.bpf.verifier import VerificationResult, Verifier
 from repro.fuzz import generate_program
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "walk_digests.json").read_text()
+)
 
 U64 = (1 << 64) - 1
 
@@ -44,38 +58,61 @@ COND_JUMP_OPS = [
     isa.JMP_JSLE,
 ]
 
+CLS_NAMES = {
+    isa.CLS_ALU: "alu32", isa.CLS_ALU64: "alu64",
+    isa.CLS_JMP: "jmp64", isa.CLS_JMP32: "jmp32",
+}
+
 LDDW = isa.CLS_LD | isa.SZ_DW | isa.MODE_IMM
 
 
-def both_verify(program, ctx_size=64):
-    """Verify with both engines and compare every observable output."""
-    compiled_log, reference_log = [], []
-    compiled = Verifier(
+def render_walk(program: Program, ctx_size: int = 64):
+    """Verify ``program`` and render every observable output as text."""
+    stream: List[str] = []
+    verifier = Verifier(
         ctx_size=ctx_size, collect_states=True,
-        on_transfer=lambda i, label, s: compiled_log.append((i, label, s)),
+        on_transfer=lambda idx, label, scalar: stream.append(
+            f"transfer {idx} {label} {scalar}"
+        ),
     )
-    reference = Verifier(
-        ctx_size=ctx_size, collect_states=True,
-        on_transfer=lambda i, label, s: reference_log.append((i, label, s)),
+    result = verifier.verify(program)
+    lines = [f"ok={result.ok} processed={result.insns_processed}"]
+    lines += [
+        f"error {e.insn_index} structural={e.structural} {e}"
+        for e in result.errors
+    ]
+    lines += [
+        f"state {idx} {verifier.states_at[idx]}"
+        for idx in sorted(verifier.states_at)
+    ]
+    lines += stream
+    return result, "\n".join(lines) + "\n"
+
+
+def assert_golden(case: str, programs: Iterable[Program]) -> List[VerificationResult]:
+    """Walk ``programs`` in order; their renders must hash to the golden."""
+    sha = hashlib.sha256()
+    results = []
+    for program in programs:
+        result, text = render_walk(program)
+        sha.update(text.encode())
+        results.append(result)
+    assert sha.hexdigest() == GOLDEN[case], (
+        f"walk outputs for {case!r} diverged from the frozen golden"
     )
-    got = compiled.verify(program)
-    want = reference.verify_reference(program)
+    return results
 
-    assert got.ok == want.ok
-    assert got.insns_processed == want.insns_processed
-    assert len(got.errors) == len(want.errors)
-    for g, w in zip(got.errors, want.errors):
-        assert g.insn_index == w.insn_index
-        assert g.reason == w.reason
-        assert g.structural == w.structural
-        assert str(g) == str(w)
 
-    assert set(compiled.states_at) == set(reference.states_at)
-    for idx, state in reference.states_at.items():
-        assert compiled.states_at[idx] == state, f"states diverge at insn {idx}"
+def assert_golden_one(case: str, program: Program) -> VerificationResult:
+    return assert_golden(case, [program])[0]
 
-    assert compiled_log == reference_log
-    return got
+
+def _finish(insns: List[Instruction]) -> Program:
+    """Append ``mov r0, r1; exit`` so the result reaches the exit check."""
+    return Program(insns + [
+        Instruction(isa.CLS_ALU64 | isa.SRC_X | isa.ALU_MOV, dst=0, src=1),
+        Instruction(isa.CLS_JMP | isa.JMP_EXIT),
+    ])
 
 
 class TestALUSweep:
@@ -84,43 +121,44 @@ class TestALUSweep:
     @pytest.mark.parametrize("op", ALU_OPS)
     @pytest.mark.parametrize("cls", [isa.CLS_ALU, isa.CLS_ALU64])
     def test_register_source(self, op, cls):
-        for a in OPERANDS:
-            for b in OPERANDS:
-                program = Program([
+        assert_golden(
+            f"alu.reg.{CLS_NAMES[cls]}.{isa.ALU_OP_NAMES[op]}",
+            (
+                _finish([
                     Instruction(LDDW, dst=1, imm=a),
                     Instruction(LDDW, dst=2, imm=b),
                     Instruction(cls | isa.SRC_X | op, dst=1, src=2),
-                    Instruction(isa.CLS_ALU64 | isa.SRC_X | isa.ALU_MOV,
-                                dst=0, src=1),
-                    Instruction(isa.CLS_JMP | isa.JMP_EXIT),
                 ])
-                both_verify(program)
+                for a in OPERANDS for b in OPERANDS
+            ),
+        )
 
     @pytest.mark.parametrize("op", ALU_OPS)
     @pytest.mark.parametrize("cls", [isa.CLS_ALU, isa.CLS_ALU64])
     def test_immediate_source(self, op, cls):
-        for a in OPERANDS:
-            for imm in IMMEDIATES:
-                program = Program([
+        assert_golden(
+            f"alu.imm.{CLS_NAMES[cls]}.{isa.ALU_OP_NAMES[op]}",
+            (
+                _finish([
                     Instruction(LDDW, dst=1, imm=a),
                     Instruction(cls | isa.SRC_K | op, dst=1, imm=imm),
-                    Instruction(isa.CLS_ALU64 | isa.SRC_X | isa.ALU_MOV,
-                                dst=0, src=1),
-                    Instruction(isa.CLS_JMP | isa.JMP_EXIT),
                 ])
-                both_verify(program)
+                for a in OPERANDS for imm in IMMEDIATES
+            ),
+        )
 
     @pytest.mark.parametrize("cls", [isa.CLS_ALU, isa.CLS_ALU64])
     def test_neg(self, cls):
-        for a in OPERANDS:
-            program = Program([
-                Instruction(LDDW, dst=1, imm=a),
-                Instruction(cls | isa.ALU_NEG, dst=1),
-                Instruction(isa.CLS_ALU64 | isa.SRC_X | isa.ALU_MOV,
-                            dst=0, src=1),
-                Instruction(isa.CLS_JMP | isa.JMP_EXIT),
-            ])
-            both_verify(program)
+        assert_golden(
+            f"alu.neg.{CLS_NAMES[cls]}",
+            (
+                _finish([
+                    Instruction(LDDW, dst=1, imm=a),
+                    Instruction(cls | isa.ALU_NEG, dst=1),
+                ])
+                for a in OPERANDS
+            ),
+        )
 
     def test_unknown_operand_shift(self):
         # Unknown-but-bounded shift counts take the join-over-counts path.
@@ -132,7 +170,7 @@ class TestALUSweep:
             mov r0, r3
             exit
         """)
-        assert both_verify(program).ok
+        assert assert_golden_one("alu.unknown_shift", program).ok
 
 
 class TestJumpRefinementSweep:
@@ -156,18 +194,26 @@ class TestJumpRefinementSweep:
     @pytest.mark.parametrize("op", COND_JUMP_OPS)
     @pytest.mark.parametrize("cls", [isa.CLS_JMP, isa.CLS_JMP32])
     def test_immediate_source(self, op, cls):
-        for a in OPERANDS:
-            for imm in IMMEDIATES:
-                jump = Instruction(cls | isa.SRC_K | op, dst=1, imm=imm, off=2)
-                both_verify(self._jump_program(jump, a, 0))
+        assert_golden(
+            f"jmp.imm.{CLS_NAMES[cls]}.{isa.JMP_OP_NAMES[op]}",
+            (
+                self._jump_program(
+                    Instruction(cls | isa.SRC_K | op, dst=1, imm=imm, off=2),
+                    a, 0,
+                )
+                for a in OPERANDS for imm in IMMEDIATES
+            ),
+        )
 
     @pytest.mark.parametrize("op", COND_JUMP_OPS)
     @pytest.mark.parametrize("cls", [isa.CLS_JMP, isa.CLS_JMP32])
     def test_register_source(self, op, cls):
         # b constant (refines dst), a constant on the left (mirrored).
-        for a in OPERANDS:
-            jump = Instruction(cls | isa.SRC_X | op, dst=1, src=2, off=2)
-            both_verify(self._jump_program(jump, a, 5))
+        jump = Instruction(cls | isa.SRC_X | op, dst=1, src=2, off=2)
+        assert_golden(
+            f"jmp.reg.{CLS_NAMES[cls]}.{isa.JMP_OP_NAMES[op]}",
+            (self._jump_program(jump, a, 5) for a in OPERANDS),
+        )
 
     def test_mirrored_constant_left(self):
         # dst const, src unknown: the mirrored refinement path.
@@ -181,7 +227,7 @@ class TestJumpRefinementSweep:
             mov r0, 1
             exit
         """)
-        assert both_verify(program).ok
+        assert assert_golden_one("jmp.mirrored_constant_left", program).ok
 
     def test_refinement_feeds_bounds_check(self):
         # The classic pattern: a branch bound makes a ctx access safe.
@@ -196,12 +242,12 @@ class TestJumpRefinementSweep:
             mov r0, 0
             exit
         """)
-        assert both_verify(program).ok
+        assert assert_golden_one("jmp.refinement_feeds_bounds_check", program).ok
 
     def test_infeasible_edge_pruned_identically(self):
         # r2 == 3 refines the taken edge to the constant; the nested
-        # jne 3 then proves its taken edge infeasible (⊥) — the dead
-        # branch must stay unanalyzed in both engines.
+        # jne 3 then proves its taken edge infeasible (⊥), so the dead
+        # branch stays unanalyzed.
         program = assemble("""
             ldxb r2, [r1+0]
             jeq r2, 3, inner
@@ -215,12 +261,12 @@ class TestJumpRefinementSweep:
             mov r0, 2
             exit
         """)
-        result = both_verify(program)
+        result = assert_golden_one("jmp.infeasible_edge", program)
         assert result.ok
 
 
 class TestErrorParity:
-    """Rejections must match on index, message, and structural flag."""
+    """Rejections keep their index, message, and structural flag."""
 
     CASES = [
         "mov r0, r1\nexit",                      # hmm: r1 is ctx ptr; leak
@@ -242,7 +288,8 @@ class TestErrorParity:
 
     @pytest.mark.parametrize("text", CASES)
     def test_hand_built(self, text):
-        both_verify(assemble(text))
+        index = self.CASES.index(text)
+        assert_golden_one(f"error.hand_built.{index}", assemble(text))
 
     def test_structural_rejection(self):
         # A backward jump (loop) is a structural CFG rejection.
@@ -251,13 +298,12 @@ class TestErrorParity:
             Instruction(isa.CLS_JMP | isa.JMP_JA, off=-2),
             Instruction(isa.CLS_JMP | isa.JMP_EXIT),
         ])
-        result = both_verify(program)
+        result = assert_golden_one("error.structural", program)
         assert not result.ok
         assert result.errors[0].structural
 
     def test_unsupported_opcode_lazy_parity(self):
-        # An unsupported opcode on a *skipped* edge must not fail
-        # compilation; when visited, both engines raise identically.
+        # An unsupported opcode raises only when the walk reaches it.
         unsupported = Instruction(isa.CLS_ALU64 | 0xD0, dst=1)  # BPF_END
         executed = Program([
             Instruction(isa.CLS_ALU64 | isa.SRC_K | isa.ALU_MOV, dst=1),
@@ -265,27 +311,26 @@ class TestErrorParity:
             Instruction(isa.CLS_ALU64 | isa.SRC_K | isa.ALU_MOV, dst=0),
             Instruction(isa.CLS_JMP | isa.JMP_EXIT),
         ])
-        result = both_verify(executed)
+        result = assert_golden_one("error.unsupported_opcode", executed)
         assert not result.ok
         assert "unsupported ALU op" in result.errors[0].reason
 
     def test_unknown_helper_is_fine_statically(self):
         # The verifier models any helper id; only the interpreter knows
-        # the registry. Clobbers must match across engines.
+        # the registry.
         program = assemble("mov r1, 2\ncall 99\nmov r0, 0\nexit")
-        assert both_verify(program).ok
+        assert assert_golden_one("error.unknown_helper", program).ok
 
 
 class TestGeneratedPrograms:
-    """Fuzzed whole-program parity: ≥500 programs per opcode profile."""
+    """500 generator programs per opcode profile, one digest each."""
 
     @pytest.mark.parametrize("profile", ["mixed", "alu", "memory", "branchy"])
     def test_generator_differential(self, profile):
-        for seed in range(500):
-            program = generate_program(seed, profile=profile).program
-            both_verify(program)
-
-    def test_compiled_form_is_cached(self):
-        program = generate_program(1).program
-        assert program.compiled_verifier(64) is program.compiled_verifier(64)
-        assert program.compiled_verifier(32) is not program.compiled_verifier(64)
+        assert_golden(
+            f"generated.{profile}",
+            (
+                generate_program(seed, profile=profile).program
+                for seed in range(500)
+            ),
+        )

@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.bpf import assemble
 from repro.bpf.verifier import Verifier
+from repro.bpf.verifier.absint import step_label
 from repro.fuzz import (
     CampaignConfig,
     CampaignSpec,
@@ -66,16 +67,29 @@ def test_verifier_output_identical_with_obs_enabled():
     assert _verify_snapshot() == baseline
 
 
-def test_compiled_programs_are_keyed_on_obs_state():
-    program = assemble(PROGRAM_TEXT)
-    pristine = program.compiled_verifier(64)
-    assert program.compiled_verifier(64) is pristine   # cached
+def test_verify_records_step_timers_only_when_obs_is_enabled(monkeypatch):
+    calls = []
+    record = obs.record_op_time
+
+    def spy(component, label, ns):
+        calls.append((component, label))
+        record(component, label, ns)
+
+    monkeypatch.setattr(obs, "record_op_time", spy)
+    baseline = _verify_snapshot()
+    assert calls == []                     # obs off: no timing at all
+
     obs.enable()
-    instrumented = program.compiled_verifier(64)
-    assert instrumented is not pristine                # recompiled
+    assert _verify_snapshot() == baseline
+    # One sample per processed instruction, under its step label.
+    insns = assemble(PROGRAM_TEXT).insns
+    assert len(calls) == baseline[1]
+    assert set(calls) == {("verifier", step_label(insn)) for insn in insns}
+
     obs.disable()
-    # Disabled again: tag 0 resolves back to the pristine compile.
-    assert program.compiled_verifier(64) is pristine
+    calls.clear()
+    assert _verify_snapshot() == baseline
+    assert calls == []
 
 
 def test_oracle_counts_replays_and_verdicts():
