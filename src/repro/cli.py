@@ -27,18 +27,19 @@ Subcommands
     a fresh fixed-seed campaign — as a per-operator tightness /
     rejected-clean delta table, with a CI gate that fails on soundness
     violations or a tightness-mass regression.
-``bench``
-    Measure fuzz-pipeline throughput (programs/sec) across the driver
-    profiles, the abstract verifier alone (``verify_<profile>`` stages,
-    one cold walk per program), and the precision campaign; emits a
-    ``BENCH_*.json`` baseline and optionally diffs against a committed
-    one (advisory by default — machines differ).  ``--json`` adds obs
-    histogram summaries (p50/p90/p99 seconds per stage).
 ``serve``
     Verification-as-a-service: an HTTP front end (``POST /verify``,
     ``GET /verdict/<canonical_hash>``, ``/healthz``, ``/stats``,
     ``/metrics``) over a worker pool and the shared verdict cache, so
     repeat submissions are O(1) cache hits.  See ``docs/service.md``.
+``coordinate --state DIR``
+    Distributed-campaign coordinator: leases batches of campaign
+    indices over HTTP (``POST /lease``, ``POST /result``, ``GET
+    /round``) and merges the results into the same report ``campaign``
+    writes for that spec; restarts resume from ``--state``.
+``work URL``
+    Stateless distributed-campaign worker: leases batches from a
+    coordinator, fuzzes them, and posts the results back.
 ``stats OBS_DIR``
     Render the observability artifacts of an ``--obs-dir`` run: the
     latest heartbeat snapshot (with a staleness warning when the
@@ -53,8 +54,8 @@ run is reproducible.
 
 Observability (``repro.obs``) is off by default and free when off; the
 ``--obs-dir``/``--obs-serve``/``--obs-sample`` flags on ``fuzz``,
-``campaign``, and ``bench`` opt a run in without changing its verdicts
-or reports.
+``campaign``, ``serve``, ``coordinate``, and ``work`` opt a run in
+without changing its verdicts or reports.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--obs-*`` opt-in flags (fuzz, campaign, bench)."""
+    """The shared ``--obs-*`` opt-in flags (fuzz, campaign, serve,
+    coordinate, work)."""
     group = parser.add_argument_group("observability")
     group.add_argument("--obs-dir", metavar="DIR",
                        help="write trace.jsonl, metrics.json, and "
@@ -299,46 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--no-gate", action="store_true",
                         help="report only; always exit 0")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure fuzz-pipeline throughput (driver, verifier, "
-             "campaign stages) and emit a BENCH baseline",
-    )
-    p_bench.add_argument("--budget", type=int, default=200,
-                         help="programs per driver/verifier measurement "
-                              "(default 200)")
-    p_bench.add_argument("--campaign-budget", type=int, default=None,
-                         help="programs per campaign measurement "
-                              "(default: same as --budget)")
-    p_bench.add_argument("--seed", type=int, default=42,
-                         help="campaign seed (default 42)")
-    p_bench.add_argument("--repeats", type=int, default=2,
-                         help="repetitions per measurement, best kept "
-                              "(default 2)")
-    p_bench.add_argument("--out", metavar="PATH",
-                         help="write the throughput report as JSON "
-                              "(the BENCH baseline format)")
-    p_bench.add_argument("--baseline", metavar="PATH",
-                         help="diff against a saved throughput baseline")
-    p_bench.add_argument("--markdown", metavar="PATH",
-                         help="write the baseline diff as a markdown "
-                              "table (requires --baseline; CI posts it "
-                              "to the step summary)")
-    p_bench.add_argument("--max-regression", type=float, default=0.15,
-                         help="fractional slowdown that triggers a "
-                              "warning (default 0.15)")
-    p_bench.add_argument("--strict", action="store_true",
-                         help="exit 1 on baseline regressions instead "
-                              "of warning (off by default: throughput "
-                              "is machine-dependent)")
-    p_bench.add_argument("--json", action="store_true",
-                         help="print the report as JSON (instead of the "
-                              "text summary) with per-stage obs "
-                              "histogram summaries — p50/p90/p99 "
-                              "seconds per timed pass — next to the "
-                              "best-of throughput metrics")
-    _add_obs_flags(p_bench)
-
     p_serve = sub.add_parser(
         "serve",
         help="serve verification over HTTP with cached verdicts "
@@ -463,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the observability artifacts of an --obs-dir run",
     )
     p_stats.add_argument("obs_dir", metavar="OBS_DIR",
-                         help="directory a fuzz/campaign/bench run "
-                              "wrote with --obs-dir")
+                         help="directory a fuzz, campaign, serve, "
+                              "coordinate or work run wrote with "
+                              "--obs-dir")
     p_stats.add_argument("--top", type=int, default=10,
                          help="operators shown per timing table "
                               "(default 10)")
@@ -737,16 +700,20 @@ def _cmd_fuzz(args) -> int:
     policy = _retry_policy(args)
     if isinstance(policy, int):
         return policy
-    config = CampaignConfig(
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-        profile=args.profile,
-        max_insns=args.max_insns,
-        ctx_size=args.ctx_size,
-        inputs_per_program=args.inputs,
-        shrink=not args.no_shrink,
-    )
+    try:
+        config = CampaignConfig(
+            budget=args.budget,
+            seed=args.seed,
+            workers=args.workers,
+            profile=args.profile,
+            max_insns=args.max_insns,
+            ctx_size=args.ctx_size,
+            inputs_per_program=args.inputs,
+            shrink=not args.no_shrink,
+        )
+    except ValueError as exc:   # bad option values
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     corpus = Corpus()
     with _obs_session(args):
         result = run_campaign(config, corpus, retry_policy=policy)
@@ -936,87 +903,6 @@ def _cmd_campaign_diff(args) -> int:
         return 0 if args.no_gate else 1
     print(f"gate: ok (mass {diff.base_mass} -> {diff.new_mass} bits, "
           f"violations {diff.new_violations})")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from pathlib import Path
-
-    from repro.eval import ThroughputReport, measure_fuzz_throughput
-
-    # Per-stage pass durations feed obs histograms when requested; the
-    # observer records locally so --json works with obs fully disabled
-    # (and thus measures the pristine uninstrumented pipelines).
-    stage_hists = {}
-    observer = None
-    if args.json or args.obs_dir is not None:
-        from repro.obs import Histogram
-
-        def observer(stage: str, seconds: float) -> None:
-            hist = stage_hists.get(stage)
-            if hist is None:
-                hist = stage_hists[stage] = Histogram()
-            hist.observe(seconds)
-
-    try:
-        with _obs_session(args) as session:
-            report = measure_fuzz_throughput(
-                budget=args.budget,
-                seed=args.seed,
-                repeats=args.repeats,
-                campaign_budget=args.campaign_budget,
-                stage_observer=observer,
-            )
-            if session is not None and stage_hists:
-                # Mirror the stage histograms into the obs artifacts.
-                for stage, hist in stage_hists.items():
-                    session.registry.histogram(
-                        f"bench.{stage}.seconds"
-                    ).merge(hist)
-                session.write_metrics_snapshot()
-    except (ValueError, KeyError) as exc:   # bad option values
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        payload = json.loads(report.to_json())
-        payload["stages_obs"] = {
-            stage: hist.summary()
-            for stage, hist in sorted(stage_hists.items())
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-        _print_obs_outputs(args)
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n")
-        print(f"\nbaseline: JSON -> {args.out}")
-    if not args.baseline:
-        if args.markdown:
-            print("error: --markdown renders the baseline diff and "
-                  "requires --baseline", file=sys.stderr)
-            return 2
-        return 0
-    try:
-        baseline = ThroughputReport.from_json(Path(args.baseline).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load baseline {args.baseline}: {exc}",
-              file=sys.stderr)
-        return 2
-    if args.markdown:
-        Path(args.markdown).write_text(report.markdown_diff(
-            baseline, max_regression=args.max_regression
-        ) + "\n")
-        print(f"baseline diff: markdown -> {args.markdown}")
-    warnings = report.compare(baseline, max_regression=args.max_regression)
-    if warnings:
-        for message in warnings:
-            print(f"WARN: {message}",
-                  file=sys.stderr if args.strict else sys.stdout)
-        return 1 if args.strict else 0
-    print(f"baseline: ok (no metric more than "
-          f"{100 * args.max_regression:.0f}% below {args.baseline})")
     return 0
 
 
@@ -1375,7 +1261,6 @@ _DISPATCH = {
     "fuzz": _cmd_fuzz,
     "campaign": _cmd_campaign,
     "campaign-diff": _cmd_campaign_diff,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "coordinate": _cmd_coordinate,
     "work": _cmd_work,

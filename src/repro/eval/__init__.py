@@ -9,13 +9,9 @@ from .diff import (
     render_diff_markdown,
 )
 from .performance import (
-    BENCH_PROFILES,
     PERF_ALGORITHMS,
-    ThroughputReport,
     TimingResult,
     generate_pairs,
-    measure_fuzz_throughput,
-    measure_verifier_throughput,
     speedup_summary,
     time_algorithms,
 )
@@ -54,10 +50,6 @@ __all__ = [
     "speedup_summary",
     "TimingResult",
     "PERF_ALGORITHMS",
-    "ThroughputReport",
-    "measure_fuzz_throughput",
-    "measure_verifier_throughput",
-    "BENCH_PROFILES",
     "OperatorStats",
     "PrecisionReport",
     "REJECT_COST_BITS",

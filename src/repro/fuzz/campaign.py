@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import faults as _faults
 from repro import obs as _obs
 from repro.bpf.canon import VerdictCache
-from repro.bpf.insn import Instruction
 from repro.bpf.program import Program
 from repro.bpf.verifier.absint import step_label
 from repro.eval.precision import OperatorStats, PrecisionReport, gamma_bits
@@ -122,6 +121,8 @@ class CampaignSpec:
             raise ValueError("rounds must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.inputs_per_program < 1:
+            raise ValueError("inputs_per_program must be >= 1")
         if not 0.0 <= self.mutate_fraction <= 1.0:
             raise ValueError("mutate_fraction must be within [0, 1]")
 
@@ -228,16 +229,6 @@ class TransferCollector:
                 min(prev[1], scalar.umin()),
                 max(prev[2], scalar.umax()),
             )
-
-
-def _attribution_label(insn: Instruction) -> str:
-    """Operator label a rejection at ``insn`` is charged to.
-
-    Shared with the obs layer's per-operator timing
-    (:func:`repro.bpf.verifier.absint.step_label`), so precision and
-    cost attribution rank over the same label space.
-    """
-    return step_label(insn)
 
 
 #: Worker-side per-operator record: :class:`TransferCollector` fields
@@ -447,9 +438,11 @@ def _fuzz_one_inner(index: int) -> Dict:
     if report.verdict == "rejected":
         # reject_pc is None for whole-program CFG rejections (mutants
         # with loops or dead code) — a policy rejection the oracle
-        # already refuses to count as a clean false positive.
+        # already refuses to count as a clean false positive.  The label
+        # is the obs layer's per-operator timer name, so precision and
+        # cost attribution rank over the same label space.
         reject_label = (
-            _attribution_label(program.insns[report.reject_pc])
+            step_label(program.insns[report.reject_pc])
             if report.reject_pc is not None
             else "cfg"
         )

@@ -69,7 +69,6 @@ class CampaignConfig:
     ctx_size: int = 64
     inputs_per_program: int = 8
     shrink: bool = True
-    keep_interesting: int = 0   # save every Nth accepted program (0 = none)
 
     def __post_init__(self) -> None:
         if self.profile not in PROFILES:
@@ -77,6 +76,10 @@ class CampaignConfig:
                 f"unknown profile {self.profile!r}; "
                 f"choose from {sorted(PROFILES)}"
             )
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if self.inputs_per_program < 1:
+            raise ValueError("inputs_per_program must be >= 1")
 
 
 @dataclass
@@ -139,7 +142,7 @@ class CampaignResult:
 
     @property
     def ok(self) -> bool:
-        return self.stats.violations == 0
+        return self.stats.violations == 0 and self.stats.quarantined == 0
 
 
 #: Campaign config, installed once per worker (pool initializer or
@@ -195,13 +198,9 @@ def _fuzz_index_inner(index: int) -> Dict:
         "verdict": report.verdict,
         "checks": report.checks,
         "rejected_but_clean": report.rejected_but_clean,
-        "violations": [asdict_violation(v) for v in report.violations],
+        "violations": [asdict(v) for v in report.violations],
     }
-    if report.violations or (
-        config.keep_interesting
-        and report.verdict == "accepted"
-        and index % config.keep_interesting == 0
-    ):
+    if report.violations:
         out["bytecode_hex"] = generated.program.to_bytes().hex()
     return out
 
@@ -221,10 +220,6 @@ def _fuzz_index_batch(
             _faults.crash_point("campaign.worker.crash", (index, attempt))
         out.append(_fuzz_index(index))
     return out
-
-
-def asdict_violation(v) -> Dict:
-    return asdict(v)
 
 
 def shrink_violation(
@@ -319,13 +314,6 @@ def run_campaign(
                 profile=config.profile,
                 violation=res["violations"][0],
                 shrunk=shrunk,
-                note=f"index {res['index']}",
-            )
-        elif "bytecode_hex" in res:
-            corpus.add_interesting(
-                Program.from_bytes(bytes.fromhex(res["bytecode_hex"])),
-                seed=res["seed"],
-                profile=config.profile,
                 note=f"index {res['index']}",
             )
 

@@ -4,9 +4,7 @@ import pytest
 
 from repro.eval.performance import (
     PERF_ALGORITHMS,
-    ThroughputReport,
     generate_pairs,
-    measure_fuzz_throughput,
     speedup_summary,
     time_algorithms,
 )
@@ -63,48 +61,6 @@ class TestTiming:
             generate_pairs(5, seed=0), trials=1, include_naive=True
         )
         assert "bitwise_mul_naive" in results
-
-
-class TestThroughputReport:
-    def _report(self, **metrics):
-        return ThroughputReport(budget=10, seed=42, repeats=1,
-                                metrics=metrics)
-
-    def test_json_round_trip(self):
-        report = self._report(driver_mixed=123.4, campaign_telemetry=99.9)
-        loaded = ThroughputReport.from_json(report.to_json())
-        assert loaded == report
-
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            ThroughputReport.from_json('{"schema_version": 99}')
-
-    def test_compare_flags_only_regressions(self):
-        baseline = self._report(driver_mixed=100.0, driver_alu=100.0)
-        current = self._report(driver_mixed=80.0, driver_alu=95.0)
-        warnings = current.compare(baseline, max_regression=0.15)
-        assert len(warnings) == 1
-        assert warnings[0].startswith("driver_mixed")
-
-    def test_compare_skips_metrics_missing_from_baseline(self):
-        baseline = self._report(driver_mixed=100.0)
-        current = self._report(driver_mixed=100.0, campaign_feedback=1.0)
-        assert current.compare(baseline) == []
-
-    def test_measure_covers_all_stages(self):
-        report = measure_fuzz_throughput(
-            budget=3, repeats=1, profiles=("mixed",), campaign_budget=3
-        )
-        assert set(report.metrics) == {
-            "driver_mixed", "verify_mixed", "verify_repeat",
-            "campaign_telemetry", "campaign_feedback",
-        }
-        assert all(v > 0 for v in report.metrics.values())
-
-    def test_summary_lists_every_metric(self):
-        report = self._report(driver_mixed=1.0, campaign_feedback=2.0)
-        text = report.summary()
-        assert "driver_mixed" in text and "campaign_feedback" in text
 
 
 class TestRenderers:

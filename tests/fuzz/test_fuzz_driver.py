@@ -43,14 +43,6 @@ class TestCampaign:
         b = run_campaign(parallel)
         assert stats_key(a.stats) == stats_key(b.stats)
 
-    def test_keep_interesting_populates_corpus(self):
-        result = run_campaign(
-            CampaignConfig(budget=20, seed=5, keep_interesting=5)
-        )
-        kinds = {e.kind for e in result.corpus.entries}
-        assert kinds == {"interesting"}
-        assert len(result.corpus) == 4  # indices 0, 5, 10, 15
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(KeyError):
             CampaignConfig(profile="bogus")

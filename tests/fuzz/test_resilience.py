@@ -255,6 +255,21 @@ class TestDriverChaos:
                       "violations", "containment_checks"):
             assert getattr(chaos.stats, field) == getattr(base.stats, field)
 
+    def test_quarantined_batches_fail_the_run(self):
+        faults.arm("seed=5,campaign.worker.crash=1")
+        # No fault-free last attempt: every batch crashes to exhaustion.
+        result = run_campaign(
+            CampaignConfig(budget=12, seed=3, max_insns=10, shrink=False,
+                           workers=2),
+            retry_policy=RetryPolicy(
+                max_attempts=2, backoff_base_s=0.01,
+                fault_free_final_attempt=False,
+            ),
+        )
+        assert result.stats.executed == 0
+        assert result.stats.quarantined > 0
+        assert not result.ok
+
 
 class TestLeaseExpiry:
     """The boundary both lease schedulers share: expiry is strictly

@@ -87,32 +87,3 @@ def test_fuzz_obs_dir(tmp_path, capsys):
     assert heartbeat["executed"] == 8
     metrics = json.loads((target / "metrics.json").read_text())
     assert metrics["counters"]["oracle.programs"] >= 8
-
-
-def test_bench_json_embeds_stage_histograms(capsys):
-    rc = main([
-        "bench", "--budget", "4", "--campaign-budget", "4",
-        "--repeats", "1", "--json",
-    ])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 1
-    stages = payload["stages_obs"]
-    assert set(payload["metrics"]) == set(stages)
-    for summary in stages.values():
-        assert summary["count"] == 1.0
-        assert {"sum", "mean", "p50", "p90", "p99"} <= set(summary)
-
-
-def test_bench_obs_dir_mirrors_stage_histograms(tmp_path, capsys):
-    target = tmp_path / "obs"
-    rc = main([
-        "bench", "--budget", "4", "--campaign-budget", "4",
-        "--repeats", "1", "--obs-dir", str(target),
-    ])
-    assert rc == 0
-    metrics = json.loads((target / "metrics.json").read_text())
-    assert any(
-        name.startswith("bench.") and name.endswith(".seconds")
-        for name in metrics["histograms"]
-    )

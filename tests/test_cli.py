@@ -302,84 +302,6 @@ class TestCampaignDiffCli:
         assert "no effect" in err
 
 
-class TestBenchCli:
-    def test_measures_and_writes_baseline(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_throughput.json"
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--out", str(out),
-        ]) == 0
-        stdout = capsys.readouterr().out
-        assert "programs/sec" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
-        assert set(payload["metrics"]) == {
-            "driver_mixed", "driver_alu", "driver_memory", "driver_branchy",
-            "verify_mixed", "verify_alu", "verify_memory", "verify_branchy",
-            "verify_repeat",
-            "campaign_telemetry", "campaign_feedback",
-        }
-        assert all(v > 0 for v in payload["metrics"].values())
-
-    def test_self_baseline_passes(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
-        # Re-measuring against our own numbers with a huge tolerance
-        # cannot regress.
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--baseline", str(out),
-            "--max-regression", "1000",
-        ]) == 0
-        assert "baseline: ok" in capsys.readouterr().out
-
-    def test_regression_warns_but_passes(self, tmp_path, capsys):
-        baseline = tmp_path / "fast.json"
-        baseline.write_text(json.dumps({
-            "schema_version": 1, "budget": 4, "seed": 42, "repeats": 1,
-            "metrics": {"driver_mixed": 1e9},
-        }))
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--baseline", str(baseline),
-        ]) == 0
-        assert "WARN: driver_mixed" in capsys.readouterr().out
-
-    def test_regression_fails_when_strict(self, tmp_path, capsys):
-        baseline = tmp_path / "fast.json"
-        baseline.write_text(json.dumps({
-            "schema_version": 1, "budget": 4, "seed": 42, "repeats": 1,
-            "metrics": {"driver_mixed": 1e9},
-        }))
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--baseline", str(baseline), "--strict",
-        ]) == 1
-        assert "WARN: driver_mixed" in capsys.readouterr().err
-
-    def test_corrupt_baseline_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--baseline", str(bad),
-        ]) == 2
-        assert "cannot load baseline" in capsys.readouterr().err
-
-    def test_wrong_schema_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "v0.json"
-        bad.write_text(json.dumps({"schema_version": 0, "metrics": {}}))
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--baseline", str(bad),
-        ]) == 2
-        assert "cannot load baseline" in capsys.readouterr().err
-
-
 class TestVerifyJsonAndWire:
     def test_json_accept_payload(self, safe_file, capsys):
         assert main(["verify", safe_file, "--json"]) == 0
@@ -497,6 +419,18 @@ class TestResilienceFlags:
         assert main(["fuzz", "--budget", "2", "--batch-retries", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,message", [
+        (["fuzz", "--budget", "-5"], "budget must be >= 1"),
+        (["fuzz", "--budget", "2", "--inputs", "0"],
+         "inputs_per_program must be >= 1"),
+        (["campaign", "--budget", "2", "--inputs", "0"],
+         "inputs_per_program must be >= 1"),
+    ])
+    def test_run_that_checks_nothing_is_usage_error(
+            self, command, message, capsys):
+        assert main(command) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_fuzz_accepts_chaos_flags(self, capsys):
         assert main([
             "fuzz", "--budget", "4", "--seed", "1", "--no-shrink",
@@ -529,34 +463,6 @@ class TestResilienceFlags:
             proc.send_signal(signal.SIGTERM)
             proc.communicate(timeout=30)
         assert proc.returncode == 0
-
-
-class TestBenchMarkdown:
-    def test_markdown_without_baseline_is_usage_error(self, tmp_path, capsys):
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--markdown", str(tmp_path / "diff.md"),
-        ]) == 2
-        assert "--markdown" in capsys.readouterr().err
-
-    def test_markdown_diff_table(self, tmp_path, capsys):
-        baseline = tmp_path / "bench.json"
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--out", str(baseline),
-        ]) == 0
-        capsys.readouterr()
-        diff = tmp_path / "diff.md"
-        assert main([
-            "bench", "--budget", "4", "--campaign-budget", "4",
-            "--repeats", "1", "--baseline", str(baseline),
-            "--max-regression", "1000", "--markdown", str(diff),
-        ]) == 0
-        assert "markdown ->" in capsys.readouterr().out
-        text = diff.read_text()
-        assert "### Throughput vs committed baseline" in text
-        assert "| metric |" in text
-        assert "driver_mixed" in text
 
 
 class TestDistCli:
