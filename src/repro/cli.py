@@ -52,6 +52,11 @@ Subcommands that use randomness (``fuzz``, ``campaign``,
 ``check-op --method random``, ``eval fig5``) accept ``--seed`` so every
 run is reproducible.
 
+Exit codes: 0 for success, 1 for a rejection, a failed check or a
+faulting ``run``, and 2, after one ``error:`` line, for bad input: an
+unreadable file, bad assembly or bytecode, a bad option value, or a
+check that would check nothing.
+
 Observability (``repro.obs``) is off by default and free when off; the
 ``--obs-dir``/``--obs-serve``/``--obs-sample`` flags on ``fuzz``,
 ``campaign``, ``serve``, ``coordinate``, and ``work`` opt a run in
@@ -460,22 +465,42 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _load_program(path: str, wire: bool = False):
+    """The program in ``path``: assembly text, or kernel wire bytecode.
+
+    None after one ``error: <file>: <message>`` line when the file
+    cannot be read or does not hold a program.
+    """
+    from repro.api import IngestError, program_from_wire
+    from repro.bpf import AssemblyError, ProgramError, assemble
+
+    try:
+        if wire:
+            return program_from_wire(_read_bytes(path))
+        return assemble(_read_text(path))
+    except OSError as exc:
+        message = exc.strerror or str(exc)
+    except (AssemblyError, ProgramError, IngestError,
+            UnicodeDecodeError) as exc:
+        message = str(exc)
+    print(f"error: {path}: {message}", file=sys.stderr)
+    return None
+
+
 def _cmd_verify(args) -> int:
     import json
 
-    from repro.api import IngestError, Verdict, program_from_wire
+    from repro.api import Verdict
     from repro.bpf.verifier import Verifier
 
-    if args.wire:
-        try:
-            program = program_from_wire(_read_bytes(args.file))
-        except IngestError as exc:
-            print(f"error: {args.file}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        from repro.bpf import assemble
-
-        program = assemble(_read_text(args.file))
+    program = _load_program(args.file, wire=args.wire)
+    if program is None:
+        return 2
     result = Verifier(ctx_size=args.ctx_size).verify(program)
     # The one verdict shape repo-wide: the CLI renders the same model
     # the service serializes, so `repro verify --json` output is
@@ -495,13 +520,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.bpf import Machine, assemble
+    from repro.bpf import ExecutionError, Machine, ProgramError
 
-    program = assemble(_read_text(args.file))
-    ctx = bytes.fromhex(args.ctx) if args.ctx else b""
-    ctx = ctx.ljust(args.ctx_size, b"\x00")
-    machine = Machine(ctx=ctx, record_trace=args.trace)
-    outcome = machine.run(program)
+    program = _load_program(args.file)
+    if program is None:
+        return 2
+    try:
+        ctx = bytes.fromhex(args.ctx)
+    except ValueError as exc:
+        return _usage_error(f"--ctx: {exc}")
+    if len(ctx) > args.ctx_size:
+        # The verifier checks context accesses against --ctx-size, so a
+        # run must not read past it either.
+        return _usage_error(
+            f"--ctx: {len(ctx)} bytes exceed --ctx-size {args.ctx_size}"
+        )
+    machine = Machine(ctx=ctx.ljust(args.ctx_size, b"\x00"),
+                      record_trace=args.trace)
+    try:
+        outcome = machine.run(program)
+    except (ExecutionError, ProgramError) as exc:
+        # A faulting run fails like a rejection does.
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 1
     print(f"r0 = {outcome.return_value} ({outcome.return_value:#x}) "
           f"in {outcome.steps} steps")
     if args.trace:
@@ -510,10 +551,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.bpf import assemble
     from repro.bpf.verifier import Verifier
 
-    program = assemble(_read_text(args.file))
+    program = _load_program(args.file)
+    if program is None:
+        return 2
     verifier = Verifier(ctx_size=args.ctx_size, collect_states=True)
     result = verifier.verify(program)
     for idx, insn in enumerate(program):
@@ -528,30 +570,47 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_asm(args) -> int:
-    from repro.bpf import assemble
-
-    program = assemble(_read_text(args.file))
+    program = _load_program(args.file)
+    if program is None:
+        return 2
     data = program.to_bytes()
-    with open(args.output, "wb") as handle:
-        handle.write(data)
+    try:
+        with open(args.output, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        return _usage_error(f"{args.output}: {exc.strerror or exc}")
     print(f"wrote {len(data)} bytes ({program.total_slots} slots) "
           f"to {args.output}")
     return 0
 
 
 def _cmd_disasm(args) -> int:
-    from repro.api import IngestError, program_from_wire
-
-    try:
-        program = program_from_wire(_read_bytes(args.file))
-    except IngestError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
+    program = _load_program(args.file, wire=True)
+    if program is None:
         return 2
     sys.stdout.write(program.disassemble())
     return 0
 
 
 def _cmd_check_op(args) -> int:
+    from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS
+    from repro.verify.sat import SUPPORTED_OPERATORS
+
+    # Each method knows its own operators; a check of width 0, or of no
+    # trials, would pass without checking anything.
+    known = (
+        SUPPORTED_OPERATORS if args.method == "sat"
+        else (*BINARY_OPS, *UNARY_OPS, *SHIFT_OPS)
+    )
+    if args.op not in known:
+        return _usage_error(
+            f"unknown operator {args.op!r} for --method {args.method} "
+            f"(choose from {', '.join(sorted(known))})"
+        )
+    if args.width < 1:
+        return _usage_error("--width must be >= 1")
+    if args.method == "random" and args.trials < 1:
+        return _usage_error("--trials must be >= 1")
     if args.method == "sat":
         from repro.verify.sat import check_operator_soundness
 
@@ -559,7 +618,6 @@ def _cmd_check_op(args) -> int:
         print(report)
         return 0 if report.sound else 1
     if args.method == "exhaustive":
-        from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS
         from repro.verify.exhaustive import (
             check_shift_soundness,
             check_soundness,
@@ -570,11 +628,8 @@ def _cmd_check_op(args) -> int:
             report = check_soundness(args.op, args.width)
         elif args.op in UNARY_OPS:
             report = check_unary_soundness(args.op, args.width)
-        elif args.op in SHIFT_OPS:
-            report = check_shift_soundness(args.op, args.width)
         else:
-            print(f"unknown operator {args.op!r}", file=sys.stderr)
-            return 2
+            report = check_shift_soundness(args.op, args.width)
         print(report)
         return 0 if report.holds else 1
     from repro.verify.random_check import random_check_operator
@@ -595,6 +650,8 @@ def _cmd_eval(args) -> int:
             time_algorithms,
         )
 
+        if args.pairs < 1:
+            return _usage_error("--pairs must be >= 1")
         results = time_algorithms(generate_pairs(args.pairs, seed=args.seed))
         print(render_fig5(results))
         for name, frac in speedup_summary(results).items():
@@ -603,6 +660,8 @@ def _cmd_eval(args) -> int:
     if args.artifact == "fig4":
         from repro.eval import compare_precision, precision_cdf, render_fig4
 
+        if args.width < 1:
+            return _usage_error("--width must be >= 1")
         comparisons = {
             name: compare_precision("our_mul", name, args.width)
             for name in ("kern_mul", "bitwise_mul")
@@ -613,6 +672,9 @@ def _cmd_eval(args) -> int:
         return 0
     from repro.eval import precision_trend, render_table1
 
+    if args.width < 5:
+        return _usage_error("--width must be >= 5 for table1, whose rows "
+                            "start at 5 bits")
     print(render_table1(precision_trend(range(5, args.width + 1))))
     return 0
 

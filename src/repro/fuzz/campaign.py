@@ -299,7 +299,7 @@ def _pool_program(index: int) -> Program:
 
 def _telemetry_oracle(
     spec: CampaignSpec,
-    collector: TransferCollector,
+    collector: Optional[TransferCollector],
     verdict_cache: Optional[VerdictCache] = None,
 ):
     # ``verdict_cache`` is explicit (not read from the worker global):
@@ -309,7 +309,7 @@ def _telemetry_oracle(
     return DifferentialOracle(
         ctx_size=spec.ctx_size,
         inputs_per_program=spec.inputs_per_program,
-        on_transfer=collector.record,
+        on_transfer=collector.record if collector is not None else None,
         collect_ranges=True,
         step_limit=spec.step_limit,
         verdict_cache=verdict_cache,
@@ -499,13 +499,11 @@ def _merge_result(report: PrecisionReport, res: Dict) -> None:
 
 
 def _still_rejected_clean(
-    spec: CampaignSpec, program: Program, input_seed_base: int
+    spec: CampaignSpec,
+    oracle: DifferentialOracle,
+    program: Program,
+    input_seed_base: int,
 ) -> bool:
-    oracle = DifferentialOracle(
-        ctx_size=spec.ctx_size,
-        inputs_per_program=spec.inputs_per_program,
-        step_limit=spec.step_limit,
-    )
     rep = oracle.check_program(program, input_seed_base=input_seed_base)
     # reject_pc is None for structural (CFG) rejections — shrinking must
     # not drift an imprecision witness into a dead-code witness.
@@ -517,16 +515,31 @@ def _still_rejected_clean(
 
 
 def _still_near_miss(
-    spec: CampaignSpec, program: Program, input_seed_base: int
+    spec: CampaignSpec,
+    oracle: DifferentialOracle,
+    program: Program,
+    input_seed_base: int,
 ) -> bool:
     collector = TransferCollector()
-    oracle = _telemetry_oracle(spec, collector)
-    rep = oracle.check_program(program, input_seed_base=input_seed_base)
+    oracle.on_transfer = collector.record
+    threshold = spec.tightness_seed_threshold
+
+    def may_reach_threshold(result) -> bool:
+        # A tightness delta never exceeds its abstract range's bits, so
+        # when no recorded result is that wide the walk alone answers.
+        return result.ok and any(
+            (umax - umin).bit_length() >= threshold
+            for _, umin, umax in collector.at.values()
+        )
+
+    rep = oracle.check_program(
+        program, input_seed_base=input_seed_base,
+        replay_if=may_reach_threshold,
+    )
     if rep.verdict != "accepted" or rep.violations:
         return False
     return any(
-        delta >= spec.tightness_seed_threshold
-        for _, delta in _iter_tightness(collector, rep)
+        delta >= threshold for _, delta in _iter_tightness(collector, rep)
     )
 
 
@@ -535,14 +548,22 @@ def _shrink_seed(
 ) -> Program:
     """Minimize a mutation-seed candidate while it keeps its property:
     still rejected-but-clean, or still showing a near-miss tightness
-    delta."""
-    predicate = (
-        _still_rejected_clean if kind == "rejected-clean"
-        else _still_near_miss
-    )
+    delta.  One oracle (and verifier) serves every candidate; the
+    near-miss predicate points its telemetry hook at a fresh collector
+    per candidate."""
+    if kind == "rejected-clean":
+        predicate = _still_rejected_clean
+        oracle = DifferentialOracle(
+            ctx_size=spec.ctx_size,
+            inputs_per_program=spec.inputs_per_program,
+            step_limit=spec.step_limit,
+        )
+    else:
+        predicate = _still_near_miss
+        oracle = _telemetry_oracle(spec, None)
     shrunk, _ = shrink_program(
         program,
-        lambda p: predicate(spec, p, input_seed_base),
+        lambda p: predicate(spec, oracle, p, input_seed_base),
         max_candidates=150,
     )
     return shrunk

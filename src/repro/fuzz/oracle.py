@@ -18,6 +18,7 @@ without flagging it as a bug.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -27,20 +28,20 @@ from repro.bpf import isa
 from repro.bpf.canon import VerdictCache
 from repro.bpf.interpreter import CTX_BASE, STACK_BASE, ExecutionError, Machine
 from repro.bpf.program import Program, ProgramError
-from repro.bpf.verifier import Verifier
-from repro.bpf.verifier.state import AbstractState, RegKind
+from repro.bpf.verifier import VerificationResult, Verifier
+from repro.bpf.verifier.state import AbstractState, RegKind, Region
 from repro.domains.product import ScalarValue
 
 __all__ = ["Violation", "OracleReport", "DifferentialOracle"]
 
 U64 = (1 << 64) - 1
 
-#: Concrete base address of each abstract pointer region.  Stack offsets
-#: are relative to the frame *top* (r10's address), matching
-#: ``RegState.stack_ptr``.
-_REGION_BASE = {
-    "stack": STACK_BASE + isa.STACK_SIZE,
-    "ctx": CTX_BASE,
+#: Concrete base address and name of each abstract pointer region.
+#: Stack offsets are relative to the frame *top* (r10's address),
+#: matching ``RegState.stack_ptr``.
+_REGIONS = {
+    Region.STACK: (STACK_BASE + isa.STACK_SIZE, Region.STACK.value),
+    Region.CTX: (CTX_BASE, Region.CTX.value),
 }
 
 
@@ -133,20 +134,34 @@ class DifferentialOracle:
             collect_states=True,
             on_transfer=self.on_transfer,
         )
+        #: ``(input_seed_base, seeds, contexts)`` of the last replays.
+        self._last_inputs: Optional[Tuple[int, List[int], List[bytes]]] = None
 
     # -- public API ---------------------------------------------------------
 
     def check_program(
-        self, program: Program, input_seed_base: int = 0
+        self,
+        program: Program,
+        input_seed_base: int = 0,
+        *,
+        replay_if: Optional[Callable[[VerificationResult], bool]] = None,
     ) -> OracleReport:
+        """Verify ``program``, then replay it concretely and compare.
+
+        ``replay_if``, when given, sees the walk's result before any
+        plan is built or replay made; when it returns False the report
+        carries only the verdict (``runs == 0``).  Callers that need
+        just the walk's answer, such as shrink predicates, skip the
+        replays with it.
+        """
         # One predicate check when obs is off; when on, the whole check
         # runs under a (sampled) span and tallies its counters on exit.
         if not _obs.enabled():
-            return self._check_program(program, input_seed_base)
+            return self._check_program(program, input_seed_base, replay_if)
         with _obs.tracer().sampled_span(
             "oracle.check_program", insns=len(program)
         ):
-            report = self._check_program(program, input_seed_base)
+            report = self._check_program(program, input_seed_base, replay_if)
         reg = _obs.default_registry()
         reg.counter("oracle.programs").inc()
         reg.counter(f"oracle.{report.verdict}").inc()
@@ -163,7 +178,10 @@ class DifferentialOracle:
         return report
 
     def _check_program(
-        self, program: Program, input_seed_base: int = 0
+        self,
+        program: Program,
+        input_seed_base: int,
+        replay_if: Optional[Callable[[VerificationResult], bool]],
     ) -> OracleReport:
         # Re-read per call: callers may (re)wire the telemetry hook on
         # the oracle after construction.
@@ -196,6 +214,7 @@ class DifferentialOracle:
 
                 verifier.on_transfer = recording_note
                 result = verifier.verify(program)
+                # The stored entry is the same whatever replay_if says.
                 if result.ok:
                     plans = self._build_plans(program, verifier.states_at)
                 cache.store(key, result, events, plans=plans)
@@ -204,8 +223,11 @@ class DifferentialOracle:
             verifier.states_at = {}
             verifier.on_transfer = note
             result = verifier.verify(program)
-            if result.ok:
-                plans = self._build_plans(program, verifier.states_at)
+
+        if replay_if is not None and not replay_if(result):
+            return OracleReport(
+                verdict="accepted" if result.ok else "rejected"
+            )
 
         if not result.ok:
             report = OracleReport(
@@ -227,14 +249,17 @@ class DifferentialOracle:
                 report.runs = 1
             return report
 
+        if plans is None:
+            plans = self._build_plans(program, self._verifier.states_at)
         report = OracleReport(verdict="accepted")
         # Replay batching: everything that is per-program (not per-input)
-        # was computed exactly once above — the observation plan derived
-        # from the verifier's states (or fetched from the verdict cache),
-        # and below the ALU destination map for range tracking and the
-        # per-input seeds and their context buffers — and a single
-        # Machine is reset per input instead of reallocated.
-        assert plans is not None
+        # is computed exactly once — the observation plan derived from
+        # the verifier's states (or fetched from the verdict cache), its
+        # constant-register fast form, and the ALU destination map for
+        # range tracking — and a single Machine is reset per input
+        # instead of reallocated.  The per-input seeds and context
+        # buffers are kept across calls with the same seed base.
+        fast = _fast_plans(plans)
         # Destination register per ALU instruction, shared by every
         # replay — the result written by instruction i is observable in
         # the registers at the *next* step.  -1 marks untracked slots.
@@ -243,15 +268,11 @@ class DifferentialOracle:
             dst_arr = [
                 insn.dst if insn.is_alu() else -1 for insn in program.insns
             ]
-        seeds = [
-            (input_seed_base * 1_000_003 + i) & U64
-            for i in range(self.inputs_per_program)
-        ]
-        ctxs = [self._make_ctx(seed) for seed in seeds]
+        seeds, ctxs = self._inputs(input_seed_base)
         machine = Machine(step_limit=self.step_limit)
         for seed, ctx in zip(seeds, ctxs):
             machine.reset(ctx)
-            self._run_one(machine, program, plans, seed, report, dst_arr)
+            self._run_one(machine, program, plans, fast, seed, report, dst_arr)
             report.runs += 1
             if len(report.violations) >= self.max_violations:
                 break
@@ -275,8 +296,15 @@ class DifferentialOracle:
         (the abstract scalar) and ``region`` are kept only for violation
         messages.  ``None`` marks a program point the verifier never
         reached.
+
+        Copy-on-write states share ``RegState`` objects across
+        instructions, so each register's entry is built once per
+        distinct object (by identity: the states keep them alive for the
+        whole build).
         """
         plans: List[Optional[List[Tuple]]] = []
+        built: List[Dict[int, Tuple]] = [{} for _ in range(isa.MAX_REG)]
+        not_init = RegKind.NOT_INIT
         for idx in range(len(program.insns)):
             state = states_at.get(idx)
             if state is None:
@@ -288,21 +316,23 @@ class DifferentialOracle:
                 # register list (the ``regs`` property materializes
                 # ownership because its callers may mutate in place).
                 abstract = state.get_reg(r)
-                if abstract.kind == RegKind.NOT_INIT:
+                if abstract.kind is not_init:
                     continue  # no claim made; nothing to contradict
-                if abstract.kind == RegKind.SCALAR:
-                    scalar = abstract.scalar
-                    base = None
-                    region = None
-                else:
-                    scalar = abstract.offset
-                    base = _REGION_BASE[abstract.region.value]
-                    region = abstract.region.value
-                t, iv = scalar.tnum, scalar.interval
-                entries.append((
-                    r, ~t.mask & U64, t.value, iv.umin, iv.umax,
-                    base, scalar, region,
-                ))
+                memo = built[r]
+                entry = memo.get(id(abstract))
+                if entry is None:
+                    if abstract.kind is RegKind.SCALAR:
+                        scalar = abstract.scalar
+                        base = region = None
+                    else:
+                        scalar = abstract.offset
+                        base, region = _REGIONS[abstract.region]
+                    t, iv = scalar.tnum, scalar.interval
+                    entry = memo[id(abstract)] = (
+                        r, ~t.mask & U64, t.value, iv.umin, iv.umax,
+                        base, scalar, region,
+                    )
+                entries.append(entry)
             plans.append(entries)
         return plans
 
@@ -310,6 +340,23 @@ class DifferentialOracle:
 
     def _make_ctx(self, seed: int) -> bytes:
         return random.Random(seed).randbytes(self.ctx_size)
+
+    def _inputs(self, input_seed_base: int) -> Tuple[List[int], List[bytes]]:
+        """Per-input seeds and context bytes for one seed base.
+
+        The last base's inputs are kept: a shrink checks every candidate
+        program against the same inputs.
+        """
+        last = self._last_inputs
+        if last is None or last[0] != input_seed_base:
+            seeds = [
+                (input_seed_base * 1_000_003 + i) & U64
+                for i in range(self.inputs_per_program)
+            ]
+            last = self._last_inputs = (
+                input_seed_base, seeds, [self._make_ctx(s) for s in seeds]
+            )
+        return last[1], last[2]
 
     def _replay_clean(self, program: Program, seed: int) -> bool:
         machine = Machine(ctx=self._make_ctx(seed), step_limit=self.step_limit)
@@ -326,6 +373,7 @@ class DifferentialOracle:
         machine: Machine,
         program: Program,
         plans: List[Optional[List[Tuple]]],
+        fast: List[Optional[Tuple]],
         seed: int,
         report: OracleReport,
         dst_arr: Optional[List[int]] = None,
@@ -338,6 +386,9 @@ class DifferentialOracle:
         ranges = report.concrete_ranges
         violations = report.violations
         max_violations = self.max_violations
+        # The fast form counts a whole plan per step, as the loop below
+        # does unless a violation, or a cut-off of zero, stops it early.
+        fast_ok = max_violations > 0
 
         def on_step(idx: int, regs: List[int]) -> None:
             if dst_arr is not None:
@@ -354,16 +405,34 @@ class DifferentialOracle:
                             span[0] = value
                         elif value > span[1]:
                             span[1] = value
-            plan = plans[idx]
-            if plan is None:
+            step = fast[idx]
+            if step is None:
                 violations.append(Violation(
                     "unverified_pc", idx, None, None, seed,
                     "execution reached an instruction the verifier "
                     "considered unreachable",
                 ))
                 return
+            if fast_ok and not violations:
+                # Fast form (see _fast_plans): when every register is
+                # contained, the count is the plan's length.  Otherwise
+                # the loop below redoes the step and reports in order.
+                get_consts, consts, rest, length = step
+                if get_consts is None or get_consts(regs) == consts:
+                    for r, notmask, value, umin, umax, base in rest:
+                        concrete = regs[r]
+                        if base is not None:
+                            concrete = (concrete - base) & U64
+                        if not (
+                            concrete & notmask == value
+                            and umin <= concrete <= umax
+                        ):
+                            break
+                    else:
+                        report.checks += length
+                        return
             checks = 0
-            for r, notmask, value, umin, umax, base, obj, region in plan:
+            for r, notmask, value, umin, umax, base, obj, region in plans[idx]:
                 concrete = regs[r]
                 checks += 1
                 if base is None:
@@ -402,3 +471,47 @@ class DifferentialOracle:
                 "accepted_crash", None, None, None, seed,
                 f"accepted program fell off the instruction stream: {exc}",
             ))
+
+
+def _fast_plans(
+    plans: List[Optional[List[Tuple]]]
+) -> List[Optional[Tuple]]:
+    """Split each plan into its constant registers and the rest.
+
+    Most entries admit exactly one concrete value: a scalar constant, or
+    a pointer at a constant offset (r1, r10).  For those a step needs
+    only one comparison, of an ``operator.itemgetter`` over their
+    registers against the expected values (``(base + offset) & U64``
+    for a pointer).  Each step is ``(getter, expected, rest, length)``;
+    ``getter`` is None when no entry is constant, and ``rest`` holds
+    the other entries without their message fields.  Derived per
+    checked program, so plans stored in a verdict cache keep their
+    format.
+    """
+    out: List[Optional[Tuple]] = []
+    for plan in plans:
+        if plan is None:
+            out.append(None)
+            continue
+        regs: List[int] = []
+        expected: List[int] = []
+        rest: List[Tuple] = []
+        for r, notmask, value, umin, umax, base, _obj, _region in plan:
+            if notmask == U64 and umin <= value <= umax:
+                single = value
+            elif umin == umax and umin & notmask == value:
+                single = umin
+            else:
+                rest.append((r, notmask, value, umin, umax, base))
+                continue
+            regs.append(r)
+            expected.append(single if base is None else (base + single) & U64)
+        getter: Optional[Callable] = None
+        consts: object = None
+        if len(regs) == 1:
+            # A one-item itemgetter returns the item, not a 1-tuple.
+            getter, consts = operator.itemgetter(regs[0]), expected[0]
+        elif regs:
+            getter, consts = operator.itemgetter(*regs), tuple(expected)
+        out.append((getter, consts, rest, len(plan)))
+    return out

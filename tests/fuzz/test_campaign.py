@@ -222,3 +222,78 @@ class TestSoundnessStillChecked:
         entry = result.corpus.violations()[0]
         assert entry.violation["kind"] == "containment"
         assert entry.shrunk_program() is not None
+
+
+class TestShrinkPredicates:
+    """The near-miss predicate lets the walk answer when it can; its
+    answer must equal the one a full replay gives."""
+
+    @staticmethod
+    def _replayed_near_miss(spec, program, seed):
+        from repro.fuzz.campaign import (
+            TransferCollector,
+            _iter_tightness,
+            _telemetry_oracle,
+        )
+
+        collector = TransferCollector()
+        rep = _telemetry_oracle(spec, collector).check_program(
+            program, input_seed_base=seed
+        )
+        if rep.verdict != "accepted" or rep.violations:
+            return False
+        return any(
+            delta >= spec.tightness_seed_threshold
+            for _, delta in _iter_tightness(collector, rep)
+        )
+
+    @pytest.mark.parametrize("threshold", [0, 1, 8, 16, 40])
+    def test_near_miss_answer_matches_full_replay(self, threshold):
+        import random as _random
+
+        from repro.fuzz import generate_program
+        from repro.fuzz.campaign import _still_near_miss, _telemetry_oracle
+        from repro.fuzz.mutate import mutate_program
+
+        spec = CampaignSpec(tightness_seed_threshold=threshold)
+        oracle = _telemetry_oracle(spec, None)
+        answers = []
+        for seed in range(60):
+            program = generate_program(seed).program
+            if seed % 2:
+                program = mutate_program(
+                    program, donor=generate_program(seed + 100).program,
+                    rng=_random.Random(seed),
+                )
+            got = _still_near_miss(spec, oracle, program, seed)
+            assert got == self._replayed_near_miss(spec, program, seed)
+            answers.append(got)
+        if threshold in (8, 16):
+            assert True in answers and False in answers
+
+    def test_one_oracle_per_shrink(self, monkeypatch):
+        from repro.fuzz import campaign as campaign_mod
+        from repro.fuzz import generate_program
+
+        built = []
+        real = campaign_mod.DifferentialOracle
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "DifferentialOracle", counting)
+        spec = CampaignSpec(tightness_seed_threshold=8)
+        for seed in range(40):
+            program = generate_program(seed).program
+            if campaign_mod._still_near_miss(
+                spec, campaign_mod._telemetry_oracle(spec, None),
+                program, seed,
+            ):
+                break
+        else:
+            pytest.fail("no near-miss program among 40 generator seeds")
+        built.clear()
+        shrunk = campaign_mod._shrink_seed(spec, program, seed, "near-miss")
+        assert len(built) == 1
+        assert len(shrunk) <= len(program)

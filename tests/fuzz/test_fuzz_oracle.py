@@ -147,3 +147,87 @@ class TestRegression32BitAlu:
             program
         )
         assert report.ok, [str(v) for v in report.violations]
+
+
+class TestReplayIf:
+    """``replay_if`` lets a caller stop after the walk."""
+
+    def test_false_on_accepted_keeps_only_the_verdict(self):
+        seen = []
+
+        def never(result):
+            seen.append(result.ok)
+            return False
+
+        report = DifferentialOracle(collect_ranges=True).check_program(
+            assemble(SAFE), input_seed_base=3, replay_if=never
+        )
+        assert seen == [True]
+        assert (report.verdict, report.runs, report.checks) == (
+            "accepted", 0, 0
+        )
+        assert report.ok and not report.concrete_ranges
+        assert report.rejected_but_clean is None
+
+    def test_false_on_rejected_skips_the_clean_replay(self):
+        report = DifferentialOracle().check_program(
+            assemble(UNINIT_STACK), replay_if=lambda result: False
+        )
+        assert (report.verdict, report.runs) == ("rejected", 0)
+        assert report.rejected_but_clean is None
+        assert report.reject_reason is None and report.reject_pc is None
+
+    @pytest.mark.parametrize("text", [SAFE, UNINIT_STACK, OOB_STORE])
+    def test_true_changes_nothing(self, text):
+        oracle = DifferentialOracle(collect_ranges=True)
+        program = assemble(text)
+        plain = oracle.check_program(program, input_seed_base=5)
+        gated = oracle.check_program(
+            program, input_seed_base=5, replay_if=lambda result: True
+        )
+        assert gated == plain
+
+    def test_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            DifferentialOracle().check_program(
+                assemble(SAFE), 0, lambda result: False
+            )
+
+    def test_obs_on_passes_it_through(self):
+        from repro import obs
+
+        obs.enable()
+        try:
+            report = DifferentialOracle().check_program(
+                assemble(SAFE), replay_if=lambda result: False
+            )
+            replays = obs.default_registry().counter("oracle.replays").value
+        finally:
+            obs.reset()
+        assert (report.verdict, report.runs) == ("accepted", 0)
+        assert replays == 0
+
+
+class TestReplayInputs:
+    def test_contexts_built_once_per_seed_base(self, monkeypatch):
+        oracle = DifferentialOracle(inputs_per_program=4)
+        made = []
+        real = oracle._make_ctx
+        monkeypatch.setattr(
+            oracle, "_make_ctx", lambda seed: made.append(seed) or real(seed)
+        )
+        first = oracle.check_program(assemble(SAFE), input_seed_base=7)
+        again = oracle.check_program(assemble(SAFE), input_seed_base=7)
+        assert first == again and len(made) == 4
+        oracle.check_program(assemble(SAFE), input_seed_base=8)
+        assert len(made) == 8
+
+    def test_fresh_oracle_matches_reused_one(self):
+        reused = DifferentialOracle(collect_ranges=True)
+        for seed in range(30):
+            program = generate_program(seed).program
+            assert reused.check_program(
+                program, input_seed_base=seed % 3
+            ) == DifferentialOracle(collect_ranges=True).check_program(
+                program, input_seed_base=seed % 3
+            )

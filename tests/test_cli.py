@@ -21,6 +21,14 @@ UNSAFE = """
     exit
 """
 
+#: Accepted by nothing, but assembles: the store faults when run.
+OOB_STORE = """
+    mov r1, 5
+    stxdw [r10+8], r1
+    mov r0, 0
+    exit
+"""
+
 
 @pytest.fixture
 def safe_file(tmp_path):
@@ -45,6 +53,25 @@ class TestVerify:
         assert main(["verify", unsafe_file]) == 1
         assert "REJECTED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["verify", "--wire"], ["run"], ["analyze"],
+        ["asm", "-o", "out.bin"], ["disasm"],
+    ])
+    def test_missing_file_is_one_line_error(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.s")
+        assert main(command[:1] + [missing] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["verify", "run", "analyze", "asm"])
+    def test_bad_assembly_is_one_line_error(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.s"
+        path.write_text("mvo r0, 0\nexit\n")
+        extra = ["-o", str(tmp_path / "out.bin")] if command == "asm" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 1: unknown mnemonic 'mvo'\n"
+
 
 class TestRun:
     def test_runs(self, safe_file, capsys):
@@ -60,6 +87,40 @@ class TestRun:
     def test_trace(self, safe_file, capsys):
         assert main(["run", safe_file, "--trace"]) == 0
         assert "trace:" in capsys.readouterr().out
+
+    def test_faulting_run_fails_like_a_rejection(self, tmp_path, capsys):
+        path = tmp_path / "oob.s"
+        path.write_text(OOB_STORE)
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: pc 1: out-of-bounds")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_program_without_exit_fails(self, tmp_path, capsys):
+        path = tmp_path / "noexit.s"
+        path.write_text("mov r0, 0\n")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_bad_ctx_hex_is_usage_error(self, safe_file, capsys):
+        assert main(["run", safe_file, "--ctx", "zz"]) == 2
+        assert capsys.readouterr().err.startswith("error: --ctx: ")
+
+    def test_ctx_longer_than_ctx_size_is_usage_error(self, tmp_path, capsys):
+        # verify --ctx-size 8 rejects this read, so run must not make it.
+        path = tmp_path / "ctx60.s"
+        path.write_text("ldxw r0, [r1+60]\nexit")
+        assert main(["verify", str(path), "--ctx-size", "8"]) == 1
+        capsys.readouterr()
+        assert main(["run", str(path), "--ctx-size", "8",
+                     "--ctx", "ab" * 66]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --ctx: 66 bytes exceed --ctx-size 8\n"
+        # A context of exactly --ctx-size bytes still runs.
+        assert main(["run", str(path), "--ctx", "ab" * 64]) == 0
+        assert "(0xabababab)" in capsys.readouterr().out
 
 
 class TestAnalyze:
@@ -425,6 +486,22 @@ class TestResilienceFlags:
          "inputs_per_program must be >= 1"),
         (["campaign", "--budget", "2", "--inputs", "0"],
          "inputs_per_program must be >= 1"),
+        (["check-op", "add", "--width", "0"], "--width must be >= 1"),
+        (["check-op", "mul", "--width", "-2"], "--width must be >= 1"),
+        (["check-op", "add", "--method", "exhaustive", "--width", "0"],
+         "--width must be >= 1"),
+        (["check-op", "add", "--method", "random", "--width", "0"],
+         "--width must be >= 1"),
+        (["check-op", "add", "--method", "random", "--trials", "0"],
+         "--trials must be >= 1"),
+        (["check-op", "nope"], "unknown operator 'nope' for --method sat"),
+        (["check-op", "nope", "--method", "random"],
+         "unknown operator 'nope' for --method random"),
+        (["check-op", "nope", "--method", "exhaustive"],
+         "unknown operator 'nope' for --method exhaustive"),
+        (["eval", "table1", "--width", "4"], "--width must be >= 5"),
+        (["eval", "fig4", "--width", "0"], "--width must be >= 1"),
+        (["eval", "fig5", "--pairs", "0"], "--pairs must be >= 1"),
     ])
     def test_run_that_checks_nothing_is_usage_error(
             self, command, message, capsys):
