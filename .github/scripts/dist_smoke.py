@@ -72,8 +72,7 @@ def start_coordinator(workdir, logfile):
 def start_worker(name, workdir):
     command = repro(
         "work", f"http://127.0.0.1:{PORT}",
-        "--name", name, "--poll-interval", "0.1",
-        "--faults", WORKER_FAULTS,
+        "--name", name, "--faults", WORKER_FAULTS,
     )
     return subprocess.Popen(
         command,

@@ -66,12 +66,14 @@ without changing its verdicts or reports.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 if TYPE_CHECKING:
+    from repro.fuzz import CampaignSpec, RetryPolicy
     from repro.httpd import HttpServer
 
 __all__ = ["main", "build_parser"]
@@ -417,11 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--name", default=None,
                         help="worker name for leases and heartbeats "
                              "(default: <hostname>-<pid>)")
-    p_work.add_argument("--poll-interval", type=float, default=0.2,
-                        metavar="SECONDS",
-                        help="idle wait between lease polls when the "
-                             "coordinator has no grantable batch "
-                             "(default 0.2)")
     _add_faults_flag(p_work)
     _add_obs_flags(p_work)
 
@@ -736,7 +733,33 @@ def _arm_faults(args) -> Optional[int]:
     return None
 
 
-def _retry_policy(args) -> "Optional[object] | int":
+def _campaign_spec(args) -> "CampaignSpec | int":
+    """The CampaignSpec the campaign flags give; an exit code on bad
+    values (campaign, campaign-diff, coordinate)."""
+    from repro.fuzz import CampaignSpec
+
+    try:
+        return CampaignSpec(
+            budget=args.budget,
+            rounds=args.rounds,
+            seed=args.seed,
+            # coordinate has no --workers: the field is excluded from
+            # the campaign id (reports are fleet-size-independent), so
+            # any worker count may attach.
+            workers=getattr(args, "workers", 1),
+            profile=args.profile,
+            max_insns=args.max_insns,
+            ctx_size=args.ctx_size,
+            inputs_per_program=args.inputs,
+            mutate_fraction=args.mutate_fraction,
+            shrink=not getattr(args, "no_shrink", False),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _retry_policy(args) -> "RetryPolicy | int":
     """A RetryPolicy from the CLI knobs; an exit code on bad values."""
     from repro.fuzz import RetryPolicy
 
@@ -791,14 +814,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from pathlib import Path
-
-    from repro.eval import render_precision_markdown, render_precision_report
-    from repro.fuzz import (
-        CampaignSpec,
-        CampaignStateError,
-        run_precision_campaign,
-    )
+    from repro.fuzz import CampaignStateError, run_precision_campaign
 
     failed = _arm_faults(args)
     if failed is not None:
@@ -806,22 +822,9 @@ def _cmd_campaign(args) -> int:
     policy = _retry_policy(args)
     if isinstance(policy, int):
         return policy
-    try:
-        spec = CampaignSpec(
-            budget=args.budget,
-            rounds=args.rounds,
-            seed=args.seed,
-            workers=args.workers,
-            profile=args.profile,
-            max_insns=args.max_insns,
-            ctx_size=args.ctx_size,
-            inputs_per_program=args.inputs,
-            mutate_fraction=args.mutate_fraction,
-            shrink=not args.no_shrink,
-        )
-    except ValueError as exc:   # bad option values
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
+    if isinstance(spec, int):
+        return spec
     cache = None
     if args.verdict_cache:
         from repro.bpf.canon import VerdictCache
@@ -845,6 +848,20 @@ def _cmd_campaign(args) -> int:
         return 2
     print(f"campaign: seed={args.seed} profile={args.profile} "
           f"rounds={args.rounds} workers={args.workers}")
+    return _print_campaign_result(args, result, cache)
+
+
+def _print_campaign_result(args, result, cache=None) -> int:
+    """Print a finished precision campaign and write its ``--report``,
+    ``--markdown`` and ``--corpus`` files; returns the exit code.
+
+    Shared by ``campaign`` and ``coordinate``, so one spec writes the
+    same report bytes either way.
+    """
+    from pathlib import Path
+
+    from repro.eval import render_precision_markdown, render_precision_report
+
     print(result.stats.summary())
     if result.quarantined:
         where = f" -> {args.state}/poison/" if args.state else ""
@@ -926,23 +943,11 @@ def _cmd_campaign_diff(args) -> int:
                   file=sys.stderr)
             return 2
     else:
-        from repro.fuzz import CampaignSpec, run_precision_campaign
+        from repro.fuzz import run_precision_campaign
 
-        try:
-            spec = CampaignSpec(
-                budget=args.budget,
-                rounds=args.rounds,
-                seed=args.seed,
-                workers=args.workers,
-                profile=args.profile,
-                max_insns=args.max_insns,
-                ctx_size=args.ctx_size,
-                inputs_per_program=args.inputs,
-                mutate_fraction=args.mutate_fraction,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec = _campaign_spec(args)
+        if isinstance(spec, int):
+            return spec
         print(f"candidate campaign: seed={args.seed} budget={args.budget} "
               f"rounds={args.rounds} workers={args.workers}")
         new = run_precision_campaign(spec).report
@@ -1073,44 +1078,23 @@ def _stop_on_signals() -> Iterator[threading.Event]:
 
 
 def _cmd_coordinate(args) -> int:
-    from pathlib import Path
-
     from repro.api.dist import CoordinatorApi
-    from repro.eval import render_precision_markdown, render_precision_report
-    from repro.fuzz import (
-        CampaignSpec,
-        CampaignStateError,
-        Coordinator,
-        CoordinatorConfig,
-        RetryPolicy,
-    )
+    from repro.fuzz import CampaignStateError, Coordinator, CoordinatorConfig
 
     failed = _arm_faults(args)
     if failed is not None:
         return failed
+    spec = _campaign_spec(args)
+    if isinstance(spec, int):
+        return spec
+    policy = _retry_policy(args)
+    if isinstance(policy, int):
+        return policy
     try:
-        # workers=1 on purpose: the field is excluded from the campaign
-        # id (reports are fleet-size-independent), so any worker count
-        # may attach.
-        spec = CampaignSpec(
-            budget=args.budget,
-            rounds=args.rounds,
-            seed=args.seed,
-            workers=1,
-            profile=args.profile,
-            max_insns=args.max_insns,
-            ctx_size=args.ctx_size,
-            inputs_per_program=args.inputs,
-            mutate_fraction=args.mutate_fraction,
-            shrink=not args.no_shrink,
-        )
         config = CoordinatorConfig(
             batch_size=args.batch_size,
-            lease_timeout_s=args.lease_timeout,
             heartbeat_timeout_s=args.heartbeat_timeout,
-            retry=RetryPolicy(
-                max_attempts=args.batch_retries, seed=args.seed
-            ),
+            retry=policy,
         )
     except ValueError as exc:   # bad option values
         print(f"error: {exc}", file=sys.stderr)
@@ -1147,28 +1131,7 @@ def _cmd_coordinate(args) -> int:
               f"rerun with the same --state to resume")
         _print_obs_outputs(args)
         return 0
-    print(result.stats.summary())
-    if result.quarantined:
-        print(f"quarantine: {len(result.quarantined)} poison "
-              f"batch(es) -> {args.state}/poison/")
-    print()
-    print(render_precision_report(result.report, top=args.top))
-    _print_violations(result.corpus)
-    if args.report:
-        # Identical bytes to `repro campaign --report` for the same
-        # spec — pinned by tests/fuzz/test_dist.py and CI dist-smoke.
-        Path(args.report).write_text(result.report.to_json() + "\n")
-        print(f"\nreport: JSON -> {args.report}")
-    if args.markdown:
-        Path(args.markdown).write_text(
-            render_precision_markdown(result.report, top=args.top) + "\n"
-        )
-        print(f"report: markdown -> {args.markdown}")
-    if args.corpus:
-        result.corpus.save(args.corpus)
-        print(f"corpus: {len(result.corpus)} entries -> {args.corpus}")
-    _print_obs_outputs(args)
-    return 0 if result.ok else 1
+    return _print_campaign_result(args, result)
 
 
 def _cmd_work(args) -> int:
@@ -1183,12 +1146,7 @@ def _cmd_work(args) -> int:
         return failed
     with _stop_on_signals() as stop, _obs_session(args):
         try:
-            out = run_worker(
-                args.coordinator,
-                name=args.name,
-                stop=stop,
-                poll_interval_s=args.poll_interval,
-            )
+            out = run_worker(args.coordinator, name=args.name, stop=stop)
         except (CoordinatorUnreachable, DistProtocolError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1332,7 +1290,17 @@ _DISPATCH = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args)
+    try:
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`repro ... | head`).  Python's documented
+        # recipe: point stdout at devnull so the exit-time flush cannot
+        # fail again, and exit 1 as for any EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

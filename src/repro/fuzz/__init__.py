@@ -40,15 +40,16 @@ Pipeline
     back in as mutation seeds.  Results merge into a deterministic
     :class:`~repro.eval.precision.PrecisionReport`.
 :mod:`~repro.fuzz.resilience`
-    Crash recovery for multi-worker runs: per-batch leases with bounded
-    retry and exponential backoff, lease timeouts for wedged workers,
-    and quarantine for batches that keep failing (see
-    ``docs/resilience.md``).
+    Crash recovery for multi-worker runs: the one lease ledger — per-batch
+    leases with bounded retry and jittered backoff, lease timeouts
+    (``RetryPolicy.lease_timeout_s``, the only timeout setting), and
+    quarantine for batches that keep failing — plus the local runner
+    that feeds it worker processes (see ``docs/resilience.md``).
 :mod:`~repro.fuzz.dist`
-    The same lease semantics across machines: a coordinator owns the
-    corpus and merged report; stateless workers lease batches over
-    HTTP.  Idempotent ingest and crash-proof checkpoints keep the
-    report byte-identical to a single-machine run (see
+    The same ledger across machines: a coordinator owns the corpus and
+    merged report; stateless workers lease batches over HTTP.
+    Idempotent ingest and crash-proof checkpoints keep the report
+    byte-identical to a single-machine run (see
     ``docs/distributed.md``).
 
 Quick start
@@ -92,11 +93,10 @@ from .generator import (
 from .mutate import MUTATION_KINDS, mutate_program
 from .oracle import DifferentialOracle, OracleReport, Violation
 from .resilience import (
-    LeaseOutcome,
-    QuarantinedBatch,
+    LeaseLedger,
     RetryPolicy,
-    batch_indices,
     run_leased_batches,
+    slice_batches,
 )
 from .shrink import ShrinkStats, shrink_program
 
@@ -128,10 +128,9 @@ __all__ = [
     "PrecisionCampaignResult",
     "run_precision_campaign",
     "RetryPolicy",
-    "QuarantinedBatch",
-    "LeaseOutcome",
+    "LeaseLedger",
     "run_leased_batches",
-    "batch_indices",
+    "slice_batches",
     "Coordinator",
     "CoordinatorConfig",
     "run_worker",

@@ -54,10 +54,11 @@ from .generator import PROFILES, generate_program
 from .mutate import mutate_program
 from .oracle import DifferentialOracle
 from .resilience import (
-    QuarantinedBatch,
+    Batch,
     RetryPolicy,
-    batch_indices,
+    local_batch_size,
     run_leased_batches,
+    slice_batches,
 )
 from .shrink import shrink_program
 
@@ -187,9 +188,9 @@ class PrecisionCampaignResult:
     corpus: Corpus
     report: PrecisionReport
     pool: List[str] = field(default_factory=list)   # bytecode hex
-    #: poison-batch payloads (see :class:`QuarantinedBatch.to_payload`,
-    #: plus ``round`` and regenerated programs) — also written under
-    #: ``<state_dir>/poison/`` when the campaign has a state directory.
+    #: poison-batch payloads (see :func:`_record_quarantine`) — also
+    #: written under ``<state_dir>/poison/`` when the campaign has a
+    #: state directory.
     quarantined: List[Dict] = field(default_factory=list)
 
     @property
@@ -625,12 +626,12 @@ def _record_quarantine(
     rnd: int,
     spec: CampaignSpec,
     round_pool: Tuple[str, ...],
-    quarantined: List[QuarantinedBatch],
+    quarantined: List[Batch],
 ) -> List[Dict]:
-    """Materialize poison batches: payloads, plus artifacts on disk.
+    """Materialize quarantined ledger rows: payloads, plus artifacts.
 
-    Each quarantined batch becomes one JSON file under
-    ``<state_dir>/poison/`` carrying the failure fingerprints *and* the
+    Each row becomes one JSON file under ``<state_dir>/poison/``
+    carrying its attempt count, failure fingerprints *and* the
     regenerated programs the round lost — everything needed to replay
     the batch in isolation (the fuzz stream is a pure function of
     ``(spec, pool, index)``).
@@ -660,10 +661,15 @@ def _record_quarantine(
                 "origin": origin,
                 "bytecode_hex": program.to_bytes().hex(),
             })
-        payload = dict(batch.to_payload())
-        payload["round"] = rnd
-        payload["programs"] = programs
-        payload["fault_plan"] = _faults.worker_init_state()
+        payload = {
+            "batch_id": batch.batch_id,
+            "indices": list(batch.indices),
+            "attempts": batch.attempt,
+            "fingerprints": list(batch.failures),
+            "round": rnd,
+            "programs": programs,
+            "fault_plan": _faults.worker_init_state(),
+        }
         payloads.append(payload)
         if state_path is not None:
             poison_dir = state_path / "poison"
@@ -674,7 +680,7 @@ def _record_quarantine(
             # leaves its own file.
             stem = (
                 f"round-{rnd:03d}-batch-{batch.batch_id:03d}"
-                f"-a{batch.attempts:02d}"
+                f"-a{batch.attempt:02d}"
             )
             path = poison_dir / f"{stem}.json"
             bump = 1
@@ -929,8 +935,10 @@ def run_precision_campaign(
                 "campaign.round", round=rnd, programs=len(indices),
                 workers=spec.workers,
             ):
-                lease_out = run_leased_batches(
-                    batch_indices(indices, spec.workers),
+                ledger = run_leased_batches(
+                    slice_batches(
+                        indices, local_batch_size(len(indices), spec.workers)
+                    ),
                     _fuzz_batch,
                     spec.workers,
                     initializer=_set_worker_state,
@@ -940,13 +948,12 @@ def run_precision_campaign(
                     ),
                     policy=retry_policy,
                 )
-            results = lease_out.results
-            stats.retries += lease_out.retries
-            stats.quarantined += len(lease_out.quarantined)
-            for poison in _record_quarantine(
-                state_path, rnd, spec, round_pool, lease_out.quarantined
-            ):
-                quarantined_payloads.append(poison)
+            results = ledger.results
+            stats.retries += ledger.retries
+            stats.quarantined += len(ledger.quarantined)
+            quarantined_payloads += _record_quarantine(
+                state_path, rnd, spec, round_pool, ledger.quarantined
+            )
         else:
             _set_worker_state(spec, round_pool, cache=verdict_cache)
             with _obs.tracer().span(

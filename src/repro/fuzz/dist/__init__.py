@@ -16,7 +16,6 @@ from .protocol import (
     DIST_SCHEMA_VERSION,
     batch_fingerprint,
     campaign_id,
-    slice_batches,
     validate_batch_results,
 )
 from .worker import (
@@ -36,6 +35,5 @@ __all__ = [
     "batch_fingerprint",
     "campaign_id",
     "run_worker",
-    "slice_batches",
     "validate_batch_results",
 ]

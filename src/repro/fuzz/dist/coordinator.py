@@ -7,13 +7,14 @@ lease`), fuzz them locally, and report results (:meth:`Coordinator.
 ingest`).  Three invariants carry the design — see
 ``docs/distributed.md`` for the full failure matrix:
 
-* **Leases expire, work never leaks.**  Every grant carries an
-  epoch-time deadline (`time.time`, so it survives a coordinator
-  restart).  A batch whose deadline passes — or whose worker's
-  heartbeat goes stale — is re-issued to the next worker that asks,
-  with the failed attempt counted against the batch exactly like the
-  single-machine lease runner counts it; a batch that keeps failing
-  quarantines to the same poison-corpus format.
+* **Leases expire, work never leaks.**  Each round's batches live in a
+  :class:`~repro.fuzz.resilience.LeaseLedger`, the one retry/quarantine
+  ledger the single-machine runner uses too, driven here with epoch
+  seconds (``time.time``, so deadlines survive a coordinator restart).
+  A batch whose deadline (``RetryPolicy.lease_timeout_s``) passes — or
+  whose worker's heartbeat goes stale — is re-issued to the next worker
+  that asks, with the failed attempt charged against the batch; a batch
+  that keeps failing quarantines to the same poison-corpus format.
 
 * **Ingest is idempotent.**  Results are keyed on the batch
   fingerprint (:func:`~repro.fuzz.dist.protocol.batch_fingerprint`),
@@ -41,7 +42,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import obs as _obs
 from repro.eval.precision import PrecisionReport
@@ -57,13 +58,18 @@ from repro.fuzz.campaign import (
     merge_round_results,
 )
 from repro.fuzz.corpus import Corpus
-from repro.fuzz.resilience import QuarantinedBatch, RetryPolicy, lease_expired
+from repro.fuzz.resilience import (
+    Batch,
+    LeaseLedger,
+    RetryPolicy,
+    slice_batches,
+)
 
 from .protocol import (
     DIST_SCHEMA_VERSION,
+    POLL_INTERVAL_S,
     batch_fingerprint,
     campaign_id,
-    slice_batches,
     validate_batch_results,
 )
 
@@ -79,76 +85,26 @@ class CoordinatorConfig:
     :class:`~repro.fuzz.campaign.CampaignSpec`: none of these change
     the report, so a campaign may resume under a different config.
 
-    ``retry`` reuses the single-machine :class:`RetryPolicy` for the
-    attempt budget, backoff-with-jitter schedule, and the fault-free
-    final attempt that bounds injected chaos; only the lease timeout is
-    dist-specific (wall-clock seconds a worker gets per batch, where
-    the local runner's timeout is per in-process lease).
+    ``retry`` is the ledger's :class:`RetryPolicy`: the attempt budget,
+    the backoff-with-jitter schedule, the fault-free final attempt that
+    bounds injected chaos, and ``lease_timeout_s``, the wall-clock
+    seconds a worker gets per batch (30 by default here).
     """
 
     batch_size: int = 8
-    lease_timeout_s: float = 30.0
     #: a worker silent this long has its leases treated as failed even
     #: before they expire — a stale heartbeat is a cheaper signal than
     #: a full lease timeout when batches are long.
     heartbeat_timeout_s: float = 60.0
-    #: advisory wait returned to a worker when no batch is grantable.
-    poll_interval_s: float = 0.25
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    retry: RetryPolicy = field(
+        default_factory=lambda: RetryPolicy(lease_timeout_s=30.0)
+    )
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lease_timeout_s <= 0:
-            raise ValueError("lease_timeout_s must be positive")
         if self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat_timeout_s must be positive")
-
-
-@dataclass
-class _Batch:
-    """One ledger row: a batch and everything its lease history did."""
-
-    batch_id: int
-    indices: List[int]
-    fingerprint: str
-    status: str = "pending"   # pending | leased | done | quarantined
-    attempt: int = 0
-    worker: Optional[str] = None
-    #: epoch seconds (``time.time``) — survives a coordinator restart.
-    deadline: Optional[float] = None
-    not_before: float = 0.0
-    failures: List[Dict] = field(default_factory=list)
-    results: Optional[List[Dict]] = None
-
-    def to_payload(self) -> Dict:
-        return {
-            "batch_id": self.batch_id,
-            "indices": list(self.indices),
-            "fingerprint": self.fingerprint,
-            "status": self.status,
-            "attempt": self.attempt,
-            "worker": self.worker,
-            "deadline": self.deadline,
-            "not_before": self.not_before,
-            "failures": list(self.failures),
-            "results": self.results,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "_Batch":
-        return cls(
-            batch_id=int(payload["batch_id"]),
-            indices=[int(i) for i in payload["indices"]],
-            fingerprint=str(payload["fingerprint"]),
-            status=str(payload["status"]),
-            attempt=int(payload["attempt"]),
-            worker=payload.get("worker"),
-            deadline=payload.get("deadline"),
-            not_before=float(payload.get("not_before", 0.0)),
-            failures=list(payload.get("failures", [])),
-            results=payload.get("results"),
-        )
 
 
 class Coordinator:
@@ -192,8 +148,7 @@ class Coordinator:
             self.pool: List[str] = []
             self.corpus = corpus if corpus is not None else Corpus()
 
-        self._batches: List[_Batch] = []
-        self._by_fp: Dict[str, _Batch] = {}
+        self._set_ledger([])
         self._round = self.stats.rounds_completed
         if not self.finished and not self._load_round():
             self._new_round()
@@ -210,8 +165,8 @@ class Coordinator:
         start = sum(budgets[:rnd])
         indices = range(start, start + budgets[rnd])
         self._round = rnd
-        self._batches = [
-            _Batch(
+        self._set_ledger(
+            Batch(
                 batch_id=bid,
                 indices=batch,
                 fingerprint=batch_fingerprint(self.cid, rnd, bid, batch),
@@ -219,9 +174,14 @@ class Coordinator:
             for bid, batch in enumerate(
                 slice_batches(indices, self.config.batch_size)
             )
-        ]
-        self._by_fp = {b.fingerprint: b for b in self._batches}
+        )
         self._checkpoint_round()
+
+    def _set_ledger(self, rows: Iterable[Batch]) -> None:
+        self.ledger = LeaseLedger(rows, self.config.retry)
+        self._by_fp: Dict[str, Batch] = {
+            b.fingerprint: b for b in self.ledger.rows
+        }
 
     def _load_round(self) -> bool:
         """Restore the in-round ledger; False means rebuild from scratch.
@@ -244,7 +204,7 @@ class Coordinator:
                 return False
             if payload.get("round") != rnd:
                 return False
-            batches = [_Batch.from_payload(b) for b in payload["batches"]]
+            batches = [Batch.from_payload(b) for b in payload["batches"]]
         except (ValueError, KeyError, TypeError):
             return False
         budgets = _round_budgets(self.spec)
@@ -259,8 +219,7 @@ class Coordinator:
             ):
                 return False
         self._round = rnd
-        self._batches = batches
-        self._by_fp = {b.fingerprint: b for b in batches}
+        self._set_ledger(batches)
         now = self.clock()
         for b in batches:
             if b.status == "leased" and b.worker is not None:
@@ -277,13 +236,7 @@ class Coordinator:
                 # file, no suffix bump.
                 self.stats.quarantined += 1
                 self._quarantined_payloads.extend(_record_quarantine(
-                    None, rnd, self.spec, tuple(self.pool),
-                    [QuarantinedBatch(
-                        batch_id=b.batch_id,
-                        indices=list(b.indices),
-                        attempts=b.attempt,
-                        fingerprints=list(b.failures),
-                    )],
+                    None, rnd, self.spec, tuple(self.pool), [b],
                 ))
         return True
 
@@ -292,7 +245,7 @@ class Coordinator:
             "format_version": _ROUND_FORMAT_VERSION,
             "campaign_id": self.cid,
             "round": self._round,
-            "batches": [b.to_payload() for b in self._batches],
+            "batches": [b.to_payload() for b in self.ledger.rows],
         }
         _atomic_write(
             self.state_path / _ROUND_FILE,
@@ -307,18 +260,11 @@ class Coordinator:
         writing ``state.json``, the resume reloads the done ledger and
         re-merges — same results in the same index order, so the same
         bytes."""
-        if self.finished or not self._batches:
+        if self.finished or not self.ledger.rows or not self.ledger.settled:
             return
-        if any(b.status in ("pending", "leased") for b in self._batches):
-            return
-        results = [
-            res
-            for b in self._batches if b.status == "done"
-            for res in b.results or ()
-        ]
         merge_round_results(
             self.spec, self.stats, self.report, self.pool, self.corpus,
-            results,
+            self.ledger.results,
         )
         self.stats.rounds_completed = self._round + 1
         now_pc = time.perf_counter()
@@ -344,8 +290,7 @@ class Coordinator:
         if self.finished:
             # The stale round.json self-invalidates on load (its round
             # number is behind rounds_completed), so nothing to delete.
-            self._batches = []
-            self._by_fp = {}
+            self._set_ledger([])
         else:
             self._new_round()
 
@@ -370,18 +315,10 @@ class Coordinator:
                 self._maybe_finish_round()
                 if self.finished:
                     return {**base, "done": True}
-                batch = self._next_ready(now, worker)
+                batch = self.ledger.grant(worker, now)
                 if batch is not None:
-                    batch.status = "leased"
-                    batch.worker = worker
-                    batch.deadline = now + self.config.lease_timeout_s
                     self._count("leases_granted")
                     self._checkpoint_round()
-                    retry = self.config.retry
-                    inject = not (
-                        retry.fault_free_final_attempt
-                        and batch.attempt == retry.max_attempts - 1
-                    )
                     return {
                         **base,
                         "round": self._round,
@@ -390,38 +327,24 @@ class Coordinator:
                             "indices": list(batch.indices),
                             "attempt": batch.attempt,
                             "fingerprint": batch.fingerprint,
-                            "inject": inject,
+                            "inject": self.ledger.inject(batch),
                         },
                     }
                 if not self._reclaim_one(now):
-                    return {**base, "wait": self.config.poll_interval_s}
-
-    def _next_ready(self, now: float, worker: str) -> Optional[_Batch]:
-        """First grantable batch, preferring one this worker has not
-        already failed — repeated failures should cross distinct workers
-        before a batch quarantines, when the fleet allows it."""
-        ready = [
-            b for b in self._batches
-            if b.status == "pending" and b.not_before <= now
-        ]
-        for b in ready:
-            last = b.failures[-1].get("worker") if b.failures else None
-            if last != worker:
-                return b
-        return ready[0] if ready else None
+                    return {**base, "wait": POLL_INTERVAL_S}
 
     def _reclaim_one(self, now: float) -> bool:
         """Fail one expired or heartbeat-stale lease; True if any was."""
-        for b in self._batches:
+        for b in self.ledger.expired(now):
+            self._count("leases_expired")
+            self._fail(
+                b, "timeout",
+                f"lease exceeded {self.config.retry.lease_timeout_s}s", now,
+            )
+            return True
+        for b in self.ledger.rows:
             if b.status != "leased":
                 continue
-            if lease_expired(b.deadline, now):
-                self._count("leases_expired")
-                self._fail(
-                    b, "timeout",
-                    f"lease exceeded {self.config.lease_timeout_s}s", now,
-                )
-                return True
             last_seen = self._workers.get(b.worker or "", now)
             if now - last_seen > self.config.heartbeat_timeout_s:
                 self._count("heartbeats_stale")
@@ -434,41 +357,18 @@ class Coordinator:
         return False
 
     def _fail(
-        self, batch: _Batch, kind: str, detail: object, now: float
+        self, batch: Batch, kind: str, detail: object, now: float
     ) -> None:
-        """One lease attempt failed: retry with backoff or quarantine.
-
-        Mirrors the single-machine runner's ``fail_lease`` — same
-        attempt arithmetic, same fingerprint shape (plus the worker
-        name), same poison-corpus artifact on exhaustion."""
-        batch.failures.append(
-            {"kind": kind, "detail": detail, "worker": batch.worker}
-        )
-        batch.worker = None
-        batch.deadline = None
-        retry = self.config.retry
-        next_attempt = batch.attempt + 1
-        if next_attempt >= retry.max_attempts:
-            batch.status = "quarantined"
-            batch.attempt = next_attempt
-            batch.results = None
+        """Charge a failed attempt to ``batch`` and checkpoint; record
+        the poison artifact if the ledger quarantined it."""
+        if self.ledger.fail(batch, kind, detail, now):
             self.stats.quarantined += 1
             self._count("batches_quarantined")
             self._quarantined_payloads.extend(_record_quarantine(
                 self.state_path, self._round, self.spec, tuple(self.pool),
-                [QuarantinedBatch(
-                    batch_id=batch.batch_id,
-                    indices=list(batch.indices),
-                    attempts=next_attempt,
-                    fingerprints=list(batch.failures),
-                )],
+                [batch],
             ))
         else:
-            batch.status = "pending"
-            batch.attempt = next_attempt
-            batch.not_before = now + retry.backoff_s(
-                next_attempt, key=(batch.batch_id,)
-            )
             self.stats.retries += 1
             self._count("leases_retried")
         self._checkpoint_round()
@@ -534,10 +434,7 @@ class Coordinator:
             # expired (its work is correct; the attempt bookkeeping is
             # not report-bearing), even while a re-issue is in flight
             # (the re-issued worker's report will be the duplicate).
-            batch.status = "done"
-            batch.results = results
-            batch.worker = None
-            batch.deadline = None
+            self.ledger.complete(batch, results)
             self._count("results_merged")
             self._checkpoint_round()
             self._maybe_finish_round()
@@ -577,7 +474,7 @@ class Coordinator:
             by_status: Dict[str, int] = {
                 "pending": 0, "leased": 0, "done": 0, "quarantined": 0,
             }
-            for b in self._batches:
+            for b in self.ledger.rows:
                 by_status[b.status] = by_status.get(b.status, 0) + 1
             return {
                 "schema_version": DIST_SCHEMA_VERSION,

@@ -33,14 +33,18 @@ from repro.fuzz.campaign import CampaignSpec
 __all__ = [
     "DIST_SCHEMA_VERSION",
     "campaign_id",
+    "POLL_INTERVAL_S",
     "batch_fingerprint",
-    "slice_batches",
     "validate_batch_results",
 ]
 
 #: Version of the coordinator/worker JSON protocol; both sides send it
 #: and refuse mismatches, so a mixed-version fleet fails loudly.
 DIST_SCHEMA_VERSION = 1
+
+#: Seconds a worker waits before asking again when no batch is
+#: grantable: the coordinator's ``{"wait": ...}`` answer.
+POLL_INTERVAL_S = 0.25
 
 
 def campaign_id(spec: CampaignSpec) -> str:
@@ -70,22 +74,6 @@ def batch_fingerprint(
         digest_size=12,
     )
     return digest.hexdigest()
-
-
-def slice_batches(
-    indices: Sequence[int], batch_size: int
-) -> List[List[int]]:
-    """Slice a round's campaign indices into lease-sized batches.
-
-    Unlike :func:`repro.fuzz.resilience.batch_indices` the size is
-    explicit, not derived from a worker count: the coordinator fixes the
-    batch layout at round start and the fleet can grow or shrink under
-    it without changing fingerprints.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    seq = list(indices)
-    return [seq[i:i + batch_size] for i in range(0, len(seq), batch_size)]
 
 
 def validate_batch_results(

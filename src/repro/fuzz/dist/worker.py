@@ -41,7 +41,7 @@ from repro import obs as _obs
 from repro.fuzz.campaign import CampaignSpec, _fuzz_batch, _set_worker_state
 from repro.fuzz.resilience import RetryPolicy
 
-from .protocol import DIST_SCHEMA_VERSION
+from .protocol import DIST_SCHEMA_VERSION, POLL_INTERVAL_S
 
 __all__ = [
     "CoordinatorClient",
@@ -163,7 +163,6 @@ def run_worker(
     name: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     stop: Optional[threading.Event] = None,
-    poll_interval_s: float = 0.2,
 ) -> Dict:
     """Lease-execute-report until the campaign finishes (or ``stop``).
 
@@ -194,7 +193,7 @@ def run_worker(
             break
         batch = grant.get("batch")
         if batch is None:
-            time.sleep(float(grant.get("wait", poll_interval_s)))
+            time.sleep(float(grant.get("wait", POLL_INTERVAL_S)))
             continue
         rnd = grant["round"]
         if rnd != cached_round or cached is None:

@@ -28,7 +28,12 @@ from repro.bpf.program import Program
 from .corpus import Corpus
 from .generator import PROFILES, generate_program
 from .oracle import DifferentialOracle
-from .resilience import RetryPolicy, batch_indices, run_leased_batches
+from .resilience import (
+    RetryPolicy,
+    local_batch_size,
+    run_leased_batches,
+    slice_batches,
+)
 from .shrink import shrink_program
 
 __all__ = [
@@ -269,17 +274,19 @@ def run_campaign(
     # serialization overhead.
     indices = range(config.budget)
     if config.workers > 1:
-        lease_out = run_leased_batches(
-            batch_indices(indices, config.workers),
+        ledger = run_leased_batches(
+            slice_batches(
+                indices, local_batch_size(len(indices), config.workers)
+            ),
             _fuzz_index_batch,
             config.workers,
             initializer=_set_worker_config,
             initargs=(config, _obs.worker_init_state()),
             policy=retry_policy or RetryPolicy(),
         )
-        results = lease_out.results
-        stats.retries = lease_out.retries
-        stats.quarantined = len(lease_out.quarantined)
+        results = ledger.results
+        stats.retries = ledger.retries
+        stats.quarantined = len(ledger.quarantined)
     else:
         _set_worker_config(config)
         results = [_fuzz_index(index) for index in indices]

@@ -1,40 +1,37 @@
-"""Per-batch leases with bounded retry: the campaign's crash-recovery core.
+"""Per-batch leases with bounded retry: the campaigns' crash-recovery core.
 
-``multiprocessing.Pool.map`` — what the driver and campaign used before
-this module — has no recovery story: a worker that dies mid-item (OOM
-kill, preemption, an injected :func:`repro.faults.crash_point`) leaves
-``map`` waiting forever on a result that will never arrive, and a hung
-item stalls the whole round.  This runner replaces it with the
-queue-and-lease idiom the ROADMAP's scale-out item calls for, scoped to
-one machine:
+One :class:`LeaseLedger` holds the rules every leased campaign follows,
+on one machine or many:
 
-* the parent owns the work: each **batch** of item indices is a lease,
-  assigned to exactly one worker over a dedicated pipe, so a dead
-  worker's in-flight batch is always attributable (no guessing which
-  task a broken pool lost);
-* workers are **expendable**: a crash (detected via the process
-  sentinel) or a lease that outlives ``lease_timeout_s`` (the worker is
-  killed) costs one retry for that batch, with exponential backoff, and
-  a replacement worker is spawned;
-* a batch that fails ``max_attempts`` times is **quarantined** — the
-  round completes without it and the caller records the poison batch
-  (indices, seeds, fault fingerprint) instead of dying;
-* results are byte-identical to a fault-free run whenever no batch is
-  actually lost: item results are keyed on their campaign index, and a
-  retried batch re-executes the same index-derived streams.
+* the work is split into **batches** of campaign indices
+  (:func:`slice_batches`); each batch is one ledger row, leased to
+  exactly one worker at a time, so a lost batch is always attributable;
+* grants go in batch order, preferring a batch the asking worker has
+  not just failed, and carry an ``inject`` flag that is false on the
+  fault-free final attempt;
+* a failed attempt (crash, lease timeout, soft error, stale worker)
+  costs one retry after a jittered exponential backoff; a batch that
+  fails ``max_attempts`` times is **quarantined** — the round completes
+  without it and the caller records the poison batch instead of dying;
+* a lease expires strictly after its deadline (:func:`lease_expired`).
 
-The runner is deliberately transport-free of campaign specifics: the
-driver and the precision campaign both hand it a module-level batch
-function plus their existing worker initializer, so worker state
-shipping (spec, mutation pool, obs switch, verdict-cache snapshot) is
-unchanged from the ``Pool`` era.
+The ledger never reads a clock: every method takes ``now``.  Two loops
+feed it.  :func:`run_leased_batches` — used by ``repro fuzz`` and
+``repro campaign`` — owns local worker processes, their pipes and
+sentinels, and drives the ledger with ``time.monotonic``.  The
+distributed :class:`~repro.fuzz.dist.Coordinator` owns rounds,
+heartbeats, idempotent ingest and checkpoints, and drives the ledger
+with epoch seconds so its deadlines survive a restart.
+
+Results are byte-identical to a fault-free run whenever no batch is
+actually lost: item results are keyed on their campaign index, and a
+retried batch re-executes the same index-derived streams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
@@ -45,10 +42,11 @@ from repro import obs as _obs
 
 __all__ = [
     "RetryPolicy",
-    "QuarantinedBatch",
-    "LeaseOutcome",
+    "Batch",
+    "LeaseLedger",
     "run_leased_batches",
-    "batch_indices",
+    "slice_batches",
+    "local_batch_size",
     "lease_expired",
 ]
 
@@ -59,7 +57,7 @@ BatchTask = Callable[[Sequence[int], int, bool], List[Dict]]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard the runner tries before quarantining a batch.
+    """How hard a ledger tries before quarantining a batch.
 
     ``max_attempts`` counts the first execution: the default 3 means one
     run plus two retries.  With ``fault_free_final_attempt`` (the
@@ -67,6 +65,9 @@ class RetryPolicy:
     injected chaos is bounded so a chaos campaign deterministically
     converges to the fault-free report; real faults still exhaust the
     attempts and quarantine.
+
+    ``lease_timeout_s`` is how long a worker may hold one batch; None
+    means no limit.
 
     ``jitter`` desynchronizes retry storms: a crash that takes out many
     workers at once would otherwise have every batch retry on the exact
@@ -114,59 +115,230 @@ class RetryPolicy:
         return delay * (1.0 - self.jitter * fraction)
 
 
+def lease_expired(deadline: Optional[float], now: float) -> bool:
+    """Has a lease with ``deadline`` expired at ``now``?
+
+    The boundary is deliberately *exclusive*: a result arriving exactly
+    at the deadline is still inside the lease.
+    """
+    return deadline is not None and now > deadline
+
+
+def slice_batches(
+    indices: Sequence[int], batch_size: int
+) -> List[List[int]]:
+    """Slice a round's campaign indices into lease-sized batches.
+
+    The layout is fixed when the round starts, so workers can come and
+    go under it (the coordinator's batch fingerprints depend on it).
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    seq = list(indices)
+    return [seq[i:i + batch_size] for i in range(0, len(seq), batch_size)]
+
+
+def local_batch_size(count: int, workers: int) -> int:
+    """Batch size of a single-machine leased round of ``count`` items.
+
+    ``count // (workers * 8)``, the sizing the ``multiprocessing.Pool``
+    era used for its chunks: small enough that a lost batch retries
+    cheaply, large enough that lease bookkeeping stays off the hot path.
+    """
+    return max(1, count // (max(1, workers) * 8))
+
+
+# -- the ledger -------------------------------------------------------------
+
+
 @dataclass
-class QuarantinedBatch:
-    """One poison batch: what failed, how often, and why."""
+class Batch:
+    """One ledger row: a batch and everything its lease history did."""
 
     batch_id: int
     indices: List[int]
-    attempts: int
+    #: the distributed idempotency key
+    #: (:func:`repro.fuzz.dist.protocol.batch_fingerprint`); local
+    #: rounds leave it empty.
+    fingerprint: str = ""
+    status: str = "pending"   # pending | leased | done | quarantined
+    #: attempts charged so far; a quarantined row holds the total.
+    attempt: int = 0
+    worker: Optional[str] = None
+    #: on the caller's clock — epoch seconds in the coordinator, so a
+    #: checkpointed deadline survives a restart.
+    deadline: Optional[float] = None
+    not_before: float = 0.0
     #: per-attempt failure fingerprints, oldest first — each is
-    #: ``{"kind": "crash"|"timeout"|"error", "detail": ...}``.
-    fingerprints: List[Dict] = field(default_factory=list)
+    #: ``{"kind": ..., "detail": ..., "worker": ...}``.
+    failures: List[Dict] = field(default_factory=list)
+    results: Optional[List[Dict]] = None
 
     def to_payload(self) -> Dict:
         return {
             "batch_id": self.batch_id,
             "indices": list(self.indices),
-            "attempts": self.attempts,
-            "fingerprints": list(self.fingerprints),
+            "fingerprint": self.fingerprint,
+            "status": self.status,
+            "attempt": self.attempt,
+            "worker": self.worker,
+            "deadline": self.deadline,
+            "not_before": self.not_before,
+            "failures": list(self.failures),
+            "results": self.results,
         }
 
+    @classmethod
+    def from_payload(cls, payload: Dict) -> "Batch":
+        return cls(
+            batch_id=int(payload["batch_id"]),
+            indices=[int(i) for i in payload["indices"]],
+            fingerprint=str(payload["fingerprint"]),
+            status=str(payload["status"]),
+            attempt=int(payload["attempt"]),
+            worker=payload.get("worker"),
+            deadline=payload.get("deadline"),
+            not_before=float(payload.get("not_before", 0.0)),
+            failures=list(payload.get("failures", [])),
+            results=payload.get("results"),
+        )
 
-@dataclass
-class LeaseOutcome:
-    """Everything one leased round produced."""
 
-    results: List[Dict]
-    quarantined: List[QuarantinedBatch] = field(default_factory=list)
-    retries: int = 0
-    crashes: int = 0
-    timeouts: int = 0
-    errors: int = 0
+class LeaseLedger:
+    """The batches of one round and the rules that lease them.
 
-
-def lease_expired(deadline: Optional[float], now: float) -> bool:
-    """Has a lease with ``deadline`` expired at ``now``?
-
-    The boundary is deliberately *exclusive*: a result arriving exactly
-    at the deadline is still inside the lease.  Shared by this runner
-    and the distributed coordinator (:mod:`repro.fuzz.dist`) so the two
-    lease semantics cannot drift.
+    Not thread-safe: the coordinator calls it under its own lock, the
+    local runner from its one parent loop.
     """
-    return deadline is not None and now > deadline
 
+    def __init__(self, rows: Iterable[Batch], policy: RetryPolicy) -> None:
+        self.rows = list(rows)
+        self.policy = policy
 
-def batch_indices(indices: Sequence[int], workers: int) -> List[List[int]]:
-    """Slice a round's indices into lease-sized batches.
+    @property
+    def settled(self) -> bool:
+        """Is every row done or quarantined?"""
+        return all(
+            row.status in ("done", "quarantined") for row in self.rows
+        )
 
-    Same sizing the ``Pool`` era used for its chunks (``len // (workers
-    * 8)``): small enough that a lost batch retries cheaply, large
-    enough that lease bookkeeping stays off the hot path.
-    """
-    chunk = max(1, len(indices) // (max(1, workers) * 8))
-    seq = list(indices)
-    return [seq[i:i + chunk] for i in range(0, len(seq), chunk)]
+    @property
+    def results(self) -> List[Dict]:
+        """Every done row's results, in batch order."""
+        return [
+            res
+            for row in self.rows if row.status == "done"
+            for res in row.results or ()
+        ]
+
+    @property
+    def quarantined(self) -> List[Batch]:
+        return [row for row in self.rows if row.status == "quarantined"]
+
+    @property
+    def retries(self) -> int:
+        """Failed attempts that earned another attempt."""
+        failed = sum(len(row.failures) for row in self.rows)
+        return failed - len(self.quarantined)
+
+    def count(self, kind: str) -> int:
+        """Failed attempts of ``kind`` ("crash", "timeout", ...)."""
+        return sum(
+            failure["kind"] == kind
+            for row in self.rows for failure in row.failures
+        )
+
+    def grant(self, worker: str, now: float) -> Optional[Batch]:
+        """Lease the first ready row to ``worker``; None if none is.
+
+        A row is ready once it is pending and its retry window has
+        opened.  A row ``worker`` failed last goes to it only when no
+        other row is ready: repeated failures should cross distinct
+        workers before a batch quarantines, when the fleet allows it.
+        """
+        ready = [
+            row for row in self.rows
+            if row.status == "pending" and row.not_before <= now
+        ]
+        if not ready:
+            return None
+        row = next(
+            (
+                r for r in ready
+                if not r.failures or r.failures[-1].get("worker") != worker
+            ),
+            ready[0],
+        )
+        timeout = self.policy.lease_timeout_s
+        row.status = "leased"
+        row.worker = worker
+        row.deadline = now + timeout if timeout is not None else None
+        return row
+
+    def inject(self, row: Batch) -> bool:
+        """May ``row``'s current attempt inject faults?
+
+        False only on the final attempt, and only when the policy keeps
+        that attempt fault-free.
+        """
+        return not (
+            self.policy.fault_free_final_attempt
+            and row.attempt == self.policy.max_attempts - 1
+        )
+
+    def complete(self, row: Batch, results: List[Dict]) -> None:
+        """Settle ``row`` with its results.
+
+        Also after its lease expired: the work is correct, and the
+        attempt bookkeeping is not report-bearing.
+        """
+        row.status = "done"
+        row.results = results
+        row.worker = None
+        row.deadline = None
+
+    def fail(self, row: Batch, kind: str, detail: object, now: float) -> bool:
+        """One attempt at ``row`` failed: retry after a backoff, or
+        quarantine once ``max_attempts`` are spent.  True if quarantined.
+        """
+        row.failures.append(
+            {"kind": kind, "detail": detail, "worker": row.worker}
+        )
+        row.worker = None
+        row.deadline = None
+        row.attempt += 1
+        if row.attempt >= self.policy.max_attempts:
+            row.status = "quarantined"
+            return True
+        row.status = "pending"
+        row.not_before = now + self.policy.backoff_s(
+            row.attempt, key=(row.batch_id,)
+        )
+        return False
+
+    def expired(self, now: float) -> List[Batch]:
+        """Leased rows whose deadline has passed at ``now``."""
+        return [
+            row for row in self.rows
+            if row.status == "leased" and lease_expired(row.deadline, now)
+        ]
+
+    def wake_at(self, now: float) -> Optional[float]:
+        """When the ledger next changes without a worker event.
+
+        That is the earliest lease deadline, or the earliest retry
+        window still ahead of ``now``.  A row that is ready already
+        waits for a worker, not for time.
+        """
+        times = [
+            row.deadline for row in self.rows
+            if row.status == "leased" and row.deadline is not None
+        ]
+        times += [
+            row.not_before for row in self.rows
+            if row.status == "pending" and row.not_before > now
+        ]
+        return min(times, default=None)
 
 
 # -- the worker side --------------------------------------------------------
@@ -203,18 +375,19 @@ def _lease_worker(
 
 
 class _Worker:
-    """Parent-side handle: process + pipe + the lease it currently holds."""
+    """Parent-side handle: process + pipe + the row it currently holds."""
 
-    __slots__ = ("process", "conn", "lease")
+    __slots__ = ("name", "process", "conn", "lease")
 
-    def __init__(self, process, conn) -> None:
+    def __init__(self, name: str, process, conn) -> None:
+        self.name = name
         self.process = process
         self.conn = conn
-        #: (batch_id, attempt, deadline | None) while a lease is out.
-        self.lease: Optional[Tuple[int, int, Optional[float]]] = None
+        self.lease: Optional[Batch] = None
 
 
 def _spawn_worker(
+    name: str,
     task: BatchTask,
     initializer: Optional[Callable],
     initargs: Tuple,
@@ -230,10 +403,10 @@ def _spawn_worker(
     )
     process.start()
     child_conn.close()
-    return _Worker(process, parent_conn)
+    return _Worker(name, process, parent_conn)
 
 
-# -- the parent loop --------------------------------------------------------
+# -- the local runner -------------------------------------------------------
 
 
 def run_leased_batches(
@@ -243,70 +416,34 @@ def run_leased_batches(
     initializer: Optional[Callable] = None,
     initargs: Tuple = (),
     policy: Optional[RetryPolicy] = None,
-) -> LeaseOutcome:
-    """Run every batch through ``task`` on a leased worker pool.
+) -> LeaseLedger:
+    """Run every batch through ``task`` on a pool of leased processes.
 
-    Returns once every batch has either produced results or been
-    quarantined; never raises on worker failure.  Results preserve no
-    particular order — callers sort on their item index, exactly as
-    they did with ``Pool.map``.
+    Returns the settled ledger — every row done or quarantined; never
+    raises on worker failure.  ``ledger.results`` come in batch order;
+    callers sort on their item index, exactly as they did with
+    ``Pool.map``.
     """
     policy = policy or RetryPolicy()
-    outcome = LeaseOutcome(results=[])
-    if not batches:
-        return outcome
+    ledger = LeaseLedger(
+        (Batch(batch_id, list(b)) for batch_id, b in enumerate(batches)),
+        policy,
+    )
+    pool: List[_Worker] = []
+    spawned = 0
 
-    #: (batch_id, attempt, not_before) — ready work, newest retries last.
-    pending: List[Tuple[int, int, float]] = [
-        (batch_id, 0, 0.0) for batch_id in range(len(batches))
-    ]
-    attempts_fps: Dict[int, List[Dict]] = {b: [] for b in range(len(batches))}
-    outstanding = len(batches)
-
-    pool: List[_Worker] = [
-        _spawn_worker(task, initializer, initargs)
-        for _ in range(min(workers, len(batches)))
-    ]
-
-    def fail_lease(worker: _Worker, kind: str, detail: object) -> None:
-        """One lease attempt failed: retry with backoff or quarantine."""
-        nonlocal outstanding
-        assert worker.lease is not None
-        batch_id, attempt, _deadline = worker.lease
-        worker.lease = None
-        fingerprint = {"kind": kind, "detail": detail}
-        attempts_fps[batch_id].append(fingerprint)
-        if kind == "crash":
-            outcome.crashes += 1
-        elif kind == "timeout":
-            outcome.timeouts += 1
-        else:
-            outcome.errors += 1
-        next_attempt = attempt + 1
-        if next_attempt >= policy.max_attempts:
-            outcome.quarantined.append(QuarantinedBatch(
-                batch_id=batch_id,
-                indices=list(batches[batch_id]),
-                attempts=next_attempt,
-                fingerprints=attempts_fps[batch_id],
-            ))
-            outstanding -= 1
-            if _obs.enabled():
-                _obs.default_registry().counter("campaign.quarantined").inc()
-        else:
-            outcome.retries += 1
-            if _obs.enabled():
-                _obs.default_registry().counter("campaign.retries").inc()
-            pending.append((
-                batch_id, next_attempt,
-                time.monotonic()
-                + policy.backoff_s(next_attempt, key=(batch_id,)),
-            ))
+    def fail(row: Batch, kind: str, detail: object) -> None:
+        quarantined = ledger.fail(row, kind, detail, time.monotonic())
+        if _obs.enabled():
+            _obs.default_registry().counter(
+                "campaign.quarantined" if quarantined else "campaign.retries"
+            ).inc()
 
     def retire(worker: _Worker, kind: str, detail: object) -> None:
         """A worker died (or was killed): fail its lease, drop the handle."""
         if worker.lease is not None:
-            fail_lease(worker, kind, detail)
+            fail(worker.lease, kind, detail)
+            worker.lease = None
         try:
             worker.conn.close()
         except OSError:
@@ -317,64 +454,43 @@ def run_leased_batches(
         pool.remove(worker)
 
     try:
-        while outstanding > 0:
+        while not ledger.settled:
             now = time.monotonic()
-            # Assign ready leases to idle workers (spawning replacements
-            # up to the pool size when crashes have thinned the pool).
-            ready = [p for p in pending if p[2] <= now]
+            # Lease ready rows to idle workers, spawning replacements up
+            # to the pool size when crashes have thinned the pool.
             idle = [w for w in pool if w.lease is None]
-            while ready and (idle or len(pool) < workers):
-                worker = idle.pop() if idle else None
-                if worker is None:
-                    worker = _spawn_worker(task, initializer, initargs)
+            while idle or len(pool) < workers:
+                name = idle[-1].name if idle else f"local-{spawned}"
+                row = ledger.grant(name, now)
+                if row is None:
+                    break
+                if idle:
+                    worker = idle.pop()
+                else:
+                    worker = _spawn_worker(name, task, initializer, initargs)
                     pool.append(worker)
-                batch_id, attempt, _ = ready.pop(0)
-                pending.remove((batch_id, attempt, _))
-                inject = not (
-                    policy.fault_free_final_attempt
-                    and attempt == policy.max_attempts - 1
-                )
-                deadline = (
-                    now + policy.lease_timeout_s
-                    if policy.lease_timeout_s is not None else None
-                )
+                    spawned += 1
+                worker.lease = row
                 try:
-                    worker.conn.send(
-                        ("batch", batch_id, list(batches[batch_id]),
-                         attempt, inject)
-                    )
+                    worker.conn.send((
+                        "batch", row.batch_id, row.indices, row.attempt,
+                        ledger.inject(row),
+                    ))
                 except (BrokenPipeError, OSError):
                     # Worker died before taking the lease; the batch
                     # never ran, so this is a crash attempt like any
                     # other (bounded — a worker that dies at init every
                     # time must not retry forever).
-                    worker.lease = (batch_id, attempt, None)
                     retire(worker, "crash", "worker died before lease")
-                    continue
-                worker.lease = (batch_id, attempt, deadline)
 
             # Wake on: a result/pipe event, a worker death (sentinel), a
-            # lease deadline, or a retry becoming ready.
-            wake_at: Optional[float] = None
-            for worker in pool:
-                if worker.lease is not None and worker.lease[2] is not None:
-                    deadline = worker.lease[2]
-                    wake_at = (
-                        deadline if wake_at is None
-                        else min(wake_at, deadline)
-                    )
-            for _b, _a, not_before in pending:
-                wake_at = (
-                    not_before if wake_at is None
-                    else min(wake_at, not_before)
-                )
+            # lease deadline, or a retry window opening.
+            wake_at = ledger.wake_at(now)
             timeout = 0.5
             if wake_at is not None:
                 timeout = min(timeout, max(0.0, wake_at - time.monotonic()))
             watch = {w.conn: w for w in pool if w.lease is not None}
             sentinels = {w.process.sentinel: w for w in pool}
-            if not watch and not sentinels and not pending:
-                break   # no workers, no work: nothing can progress
             fired = _conn_wait(
                 list(watch) + list(sentinels), timeout=timeout
             )
@@ -388,9 +504,7 @@ def run_leased_batches(
                 if obj in sentinels and obj not in watch:
                     # Death notification; drain any final message first —
                     # a worker can send its result and *then* crash.
-                    if worker.lease is not None and worker.conn.poll():
-                        obj = worker.conn
-                    else:
+                    if worker.lease is None or not worker.conn.poll():
                         retire(
                             worker, "crash",
                             f"exit code {worker.process.exitcode}",
@@ -405,28 +519,23 @@ def run_leased_batches(
                     )
                     continue
                 kind, batch_id, payload = message
-                lease = worker.lease
-                worker.lease = None
-                if lease is None or lease[0] != batch_id:
+                row, worker.lease = worker.lease, None
+                if row is None or row.batch_id != batch_id:
                     continue   # stale message from a superseded lease
                 if kind == "done":
-                    outcome.results.extend(payload)
-                    outstanding -= 1
+                    ledger.complete(row, payload)
                 else:   # soft error inside the task
-                    worker.lease = lease
-                    fail_lease(worker, "error", payload)
+                    fail(row, "error", payload)
 
             # Expired leases: the worker is wedged (hung item, injected
             # hang) — kill it and retry the batch elsewhere.
-            now = time.monotonic()
-            for worker in list(pool):
-                lease = worker.lease
-                if lease is not None and lease_expired(lease[2], now):
-                    worker.process.kill()
-                    retire(
-                        worker, "timeout",
-                        f"lease exceeded {policy.lease_timeout_s}s",
-                    )
+            for row in ledger.expired(time.monotonic()):
+                worker = next(w for w in pool if w.lease is row)
+                worker.process.kill()
+                retire(
+                    worker, "timeout",
+                    f"lease exceeded {policy.lease_timeout_s}s",
+                )
     finally:
         for worker in list(pool):
             try:
@@ -442,4 +551,4 @@ def run_leased_batches(
                 worker.conn.close()
             except OSError:
                 pass
-    return outcome
+    return ledger

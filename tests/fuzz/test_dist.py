@@ -30,10 +30,9 @@ from repro.fuzz.dist import (
     batch_fingerprint,
     campaign_id,
     run_worker,
-    slice_batches,
     validate_batch_results,
 )
-from repro.fuzz.resilience import QuarantinedBatch, RetryPolicy
+from repro.fuzz.resilience import Batch, RetryPolicy, slice_batches
 from repro.api.dist import CoordinatorApi
 
 
@@ -192,8 +191,8 @@ class TestCoordinatorParity:
         coordinator = Coordinator(
             CampaignSpec(workers=1, **SPEC), tmp_path / "state",
             config=CoordinatorConfig(
-                batch_size=4, lease_timeout_s=10.0,
-                retry=RetryPolicy(backoff_base_s=0.01),
+                batch_size=4,
+                retry=RetryPolicy(lease_timeout_s=10.0, backoff_base_s=0.01),
             ),
             clock=clock,
         )
@@ -233,7 +232,9 @@ class TestCoordinatorParity:
         cleanup), bring up B on the same state dir, finish, compare."""
         clock = FakeClock()
         spec = CampaignSpec(workers=1, **SPEC)
-        config = CoordinatorConfig(batch_size=4, lease_timeout_s=30.0)
+        config = CoordinatorConfig(
+            batch_size=4, retry=RetryPolicy(lease_timeout_s=30.0)
+        )
         a = Coordinator(spec, tmp_path / "state", config=config, clock=clock)
         # Complete two batches, leave a third leased-but-unreported,
         # then "crash" (drop every in-memory structure on the floor).
@@ -286,7 +287,7 @@ class TestLeaseBoundary:
     def _one_batch(self, tmp_path, clock, **overrides):
         options = dict(
             batch_size=SMALL["budget"],   # the whole round, one lease
-            lease_timeout_s=10.0,
+            retry=RetryPolicy(lease_timeout_s=10.0),
         )
         options.update(overrides)
         return Coordinator(
@@ -306,7 +307,8 @@ class TestLeaseBoundary:
     def test_lease_not_reissued_exactly_at_deadline(self, tmp_path):
         clock = FakeClock()
         coordinator = self._one_batch(
-            tmp_path, clock, retry=RetryPolicy(backoff_base_s=0.0)
+            tmp_path, clock,
+            retry=RetryPolicy(lease_timeout_s=10.0, backoff_base_s=0.0),
         )
         granted = coordinator.lease("w1")
         clock.advance(10.0)
@@ -323,7 +325,8 @@ class TestLeaseBoundary:
         after the failed attempt was recorded) the first report wins."""
         clock = FakeClock()
         coordinator = self._one_batch(
-            tmp_path, clock, retry=RetryPolicy(backoff_base_s=5.0)
+            tmp_path, clock,
+            retry=RetryPolicy(lease_timeout_s=10.0, backoff_base_s=5.0),
         )
         grant = coordinator.lease("w1")
         payload = _execute(coordinator, grant, worker="w1")
@@ -333,12 +336,33 @@ class TestLeaseBoundary:
         assert coordinator.ingest(payload)["status"] == "accepted"
         assert coordinator.finished
 
+    def test_retry_policy_lease_timeout_governs_expiry(self, tmp_path):
+        """One timeout setting: the ledger policy's ``lease_timeout_s``
+        sets the deadline; 30 s is only the default policy's value."""
+        assert CoordinatorConfig().retry.lease_timeout_s == 30.0
+        clock = FakeClock()
+        coordinator = self._one_batch(
+            tmp_path, clock,
+            retry=RetryPolicy(lease_timeout_s=5.0, backoff_base_s=0.0),
+        )
+        granted = coordinator.lease("w1")
+        clock.advance(6.0)
+        regrant = coordinator.lease("w2")
+        assert regrant["batch"]["fingerprint"] == \
+            granted["batch"]["fingerprint"]
+        assert regrant["batch"]["attempt"] == 1
+        failure = coordinator.ledger.rows[0].failures[0]
+        assert failure == {
+            "kind": "timeout", "detail": "lease exceeded 5.0s",
+            "worker": "w1",
+        }
+
     def test_stale_heartbeat_reissues_before_lease_expiry(self, tmp_path):
         clock = FakeClock()
         coordinator = self._one_batch(
             tmp_path, clock,
-            lease_timeout_s=1000.0, heartbeat_timeout_s=5.0,
-            retry=RetryPolicy(backoff_base_s=0.0),
+            heartbeat_timeout_s=5.0,
+            retry=RetryPolicy(lease_timeout_s=1000.0, backoff_base_s=0.0),
         )
         coordinator.lease("w1")
         clock.advance(6.0)    # way inside the lease, way past heartbeats
@@ -351,7 +375,8 @@ class TestLeaseBoundary:
     def test_failure_report_for_superseded_attempt_is_stale(self, tmp_path):
         clock = FakeClock()
         coordinator = self._one_batch(
-            tmp_path, clock, retry=RetryPolicy(backoff_base_s=0.0)
+            tmp_path, clock,
+            retry=RetryPolicy(lease_timeout_s=10.0, backoff_base_s=0.0),
         )
         grant = coordinator.lease("w1")
         clock.advance(10.01)
@@ -401,8 +426,10 @@ class TestCoordinatorFailureHandling:
         coordinator = Coordinator(
             spec, tmp_path / "state",
             config=CoordinatorConfig(
-                batch_size=SMALL["budget"], lease_timeout_s=10.0,
-                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
+                batch_size=SMALL["budget"],
+                retry=RetryPolicy(
+                    max_attempts=2, lease_timeout_s=10.0, backoff_base_s=0.01,
+                ),
             ),
             clock=clock,
         )
@@ -443,8 +470,10 @@ class TestCoordinatorFailureHandling:
         clock = FakeClock()
         spec = CampaignSpec(workers=1, **SMALL)
         config = CoordinatorConfig(
-            batch_size=4, lease_timeout_s=10.0,
-            retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0),
+            batch_size=4,
+            retry=RetryPolicy(
+                max_attempts=1, lease_timeout_s=10.0, backoff_base_s=0.0,
+            ),
         )
         a = Coordinator(spec, tmp_path / "state", config=config, clock=clock)
         a.lease("w1")
@@ -470,9 +499,9 @@ class TestCoordinatorFailureHandling:
         """The attempt-count suffix plus collision bump: one file per
         quarantine event, even for the same batch at the same attempt."""
         spec = CampaignSpec(workers=1, **SMALL)
-        batch = QuarantinedBatch(
-            batch_id=0, indices=[0, 1], attempts=2,
-            fingerprints=[{"kind": "crash", "detail": "x"}] * 2,
+        batch = Batch(
+            batch_id=0, indices=[0, 1], attempt=2,
+            failures=[{"kind": "crash", "detail": "x"}] * 2,
         )
         for _ in range(3):
             _record_quarantine(tmp_path, 0, spec, (), [batch])

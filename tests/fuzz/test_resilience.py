@@ -14,12 +14,15 @@ import pytest
 from repro import faults
 from repro.fuzz import CampaignConfig, CampaignSpec, run_campaign
 from repro.fuzz.campaign import run_precision_campaign
+from repro.fuzz import resilience
 from repro.fuzz.resilience import (
-    QuarantinedBatch,
+    Batch,
+    LeaseLedger,
     RetryPolicy,
-    batch_indices,
     lease_expired,
+    local_batch_size,
     run_leased_batches,
+    slice_batches,
 )
 
 
@@ -53,6 +56,11 @@ def _soft_error_task(indices, attempt, inject):
 def _hang_task(indices, attempt, inject):
     if attempt == 0:
         time.sleep(60)
+    return [{"index": i} for i in indices]
+
+
+def _busy_task(indices, attempt, inject):
+    time.sleep(0.02)
     return [{"index": i} for i in indices]
 
 
@@ -94,17 +102,19 @@ class TestRetryPolicy:
 
 class TestBatchIndices:
     def test_covers_every_index_once(self):
-        batches = batch_indices(range(100), workers=4)
+        batches = slice_batches(range(100), local_batch_size(100, workers=4))
         flat = [i for batch in batches for i in batch]
         assert flat == list(range(100))
 
     def test_small_rounds_still_batch(self):
-        assert batch_indices(range(3), workers=8) == [[0], [1], [2]]
+        assert slice_batches(
+            range(3), local_batch_size(3, workers=8)
+        ) == [[0], [1], [2]]
 
 
 class TestLeaseRunner:
     def test_happy_path(self):
-        batches = batch_indices(range(20), workers=2)
+        batches = slice_batches(range(20), local_batch_size(20, workers=2))
         out = run_leased_batches(batches, _echo_task, workers=2)
         assert sorted(r["index"] for r in out.results) == list(range(20))
         assert not out.quarantined and out.retries == 0
@@ -115,7 +125,7 @@ class TestLeaseRunner:
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.01),
         )
         assert sorted(r["index"] for r in out.results) == [0, 1, 2, 3]
-        assert out.crashes >= 2 and out.retries >= 2
+        assert out.count("crash") >= 2 and out.retries >= 2
         assert not out.quarantined
 
     def test_unrecoverable_batch_quarantines(self):
@@ -126,8 +136,8 @@ class TestLeaseRunner:
         assert out.results == []
         assert len(out.quarantined) == 1
         batch = out.quarantined[0]
-        assert batch.indices == [0, 1] and batch.attempts == 2
-        assert all(fp["kind"] == "crash" for fp in batch.fingerprints)
+        assert batch.indices == [0, 1] and batch.attempt == 2
+        assert all(fp["kind"] == "crash" for fp in batch.failures)
         payload = batch.to_payload()
         assert json.loads(json.dumps(payload)) == payload
 
@@ -137,7 +147,7 @@ class TestLeaseRunner:
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.01),
         )
         assert sorted(r["index"] for r in out.results) == [0, 1]
-        assert out.errors == 2 and not out.quarantined
+        assert out.count("error") == 2 and not out.quarantined
 
     def test_lease_timeout_kills_and_retries(self):
         out = run_leased_batches(
@@ -147,11 +157,136 @@ class TestLeaseRunner:
             ),
         )
         assert [r["index"] for r in out.results] == [0]
-        assert out.timeouts == 1 and out.retries == 1
+        assert out.count("timeout") == 1 and out.retries == 1
 
     def test_empty_batches(self):
         out = run_leased_batches([], _echo_task, workers=2)
         assert out.results == [] and not out.quarantined
+
+    def test_parent_sleeps_while_every_worker_is_busy(self, monkeypatch):
+        """Batches that wait for a worker wake the parent only on worker
+        events, so it waits about once per batch instead of spinning on
+        zero-timeout polls."""
+        timeouts = []
+        real_wait = resilience._conn_wait
+
+        def counting_wait(objects, timeout=None):
+            timeouts.append(timeout)
+            return real_wait(objects, timeout=timeout)
+
+        monkeypatch.setattr(resilience, "_conn_wait", counting_wait)
+        batches = slice_batches(range(32), 1)
+        out = run_leased_batches(batches, _busy_task, workers=2)
+        assert sorted(r["index"] for r in out.results) == list(range(32))
+        assert len(timeouts) <= 3 * len(batches), len(timeouts)
+
+
+def _ledger(batches, **policy):
+    return LeaseLedger(
+        (Batch(batch_id, [batch_id]) for batch_id in range(batches)),
+        RetryPolicy(**policy),
+    )
+
+
+class TestLeaseLedger:
+    """The ledger's rules, driven with an explicit ``now``: no
+    processes, no sleeps."""
+
+    def test_grants_in_batch_order_until_none_is_ready(self):
+        ledger = _ledger(3, lease_timeout_s=5.0)
+        rows = [ledger.grant("w", 10.0) for _ in range(3)]
+        assert [row.batch_id for row in rows] == [0, 1, 2]
+        assert all(row.status == "leased" for row in rows)
+        assert all(row.worker == "w" and row.deadline == 15.0 for row in rows)
+        assert ledger.grant("w", 10.0) is None
+
+    def test_prefers_a_batch_the_worker_has_not_failed(self):
+        ledger = _ledger(2, backoff_base_s=0.0)
+        ledger.fail(ledger.grant("w1", 0.0), "error", "boom", 0.0)
+        # Batch 0 failed on w1 last: w1 gets batch 1, w2 gets batch 0.
+        assert ledger.grant("w1", 0.0).batch_id == 1
+        assert ledger.grant("w2", 0.0).batch_id == 0
+
+    def test_a_failed_batch_returns_to_its_worker_when_nothing_else_is_ready(
+        self
+    ):
+        ledger = _ledger(1, backoff_base_s=0.0)
+        ledger.fail(ledger.grant("w1", 0.0), "error", "boom", 0.0)
+        row = ledger.grant("w1", 0.0)
+        assert row.batch_id == 0 and row.attempt == 1
+
+    @pytest.mark.parametrize("fault_free", [True, False])
+    def test_inject_is_false_only_on_a_fault_free_final_attempt(
+        self, fault_free
+    ):
+        ledger = _ledger(
+            1, max_attempts=3, backoff_base_s=0.0,
+            fault_free_final_attempt=fault_free,
+        )
+        flags = []
+        for _ in range(3):
+            row = ledger.grant("w", 0.0)
+            flags.append(ledger.inject(row))
+            ledger.fail(row, "crash", "exit code 86", 0.0)
+        assert flags == [True, True, not fault_free]
+
+    def test_a_retry_is_not_granted_before_its_window_opens(self):
+        ledger = _ledger(1, backoff_base_s=1.0, jitter=0.0)
+        ledger.fail(ledger.grant("w", 10.0), "crash", "exit code 86", 10.0)
+        row = ledger.rows[0]
+        assert row.status == "pending" and row.not_before == 11.0
+        assert ledger.grant("w", 10.999) is None
+        assert ledger.grant("w", 11.0) is row
+
+    def test_quarantine_at_max_attempts_keeps_every_failure(self):
+        ledger = _ledger(1, max_attempts=2, backoff_base_s=0.0)
+        assert not ledger.fail(
+            ledger.grant("w1", 0.0), "crash", "exit code 86", 0.0
+        )
+        assert ledger.fail(
+            ledger.grant("w2", 0.0), "timeout", "lease exceeded 5.0s", 0.0
+        )
+        row = ledger.rows[0]
+        assert row.status == "quarantined" and row.attempt == 2
+        assert row.failures == [
+            {"kind": "crash", "detail": "exit code 86", "worker": "w1"},
+            {"kind": "timeout", "detail": "lease exceeded 5.0s",
+             "worker": "w2"},
+        ]
+        assert ledger.settled and ledger.quarantined == [row]
+        assert ledger.retries == 1 and ledger.count("crash") == 1
+        assert ledger.grant("w3", 0.0) is None
+
+    def test_expiry_is_strictly_after_the_deadline(self):
+        ledger = _ledger(1, lease_timeout_s=5.0)
+        row = ledger.grant("w", 100.0)
+        assert ledger.expired(105.0) == []
+        assert ledger.expired(105.001) == [row]
+
+    def test_no_lease_timeout_never_expires(self):
+        ledger = _ledger(1)
+        assert ledger.grant("w", 0.0).deadline is None
+        assert ledger.expired(1e12) == []
+
+    def test_a_completion_after_expiry_is_still_accepted(self):
+        ledger = _ledger(1, lease_timeout_s=5.0, backoff_base_s=0.0)
+        row = ledger.grant("w1", 0.0)
+        for late in ledger.expired(5.5):
+            ledger.fail(late, "timeout", "lease exceeded 5.0s", 5.5)
+        assert row.status == "pending" and row.attempt == 1
+        ledger.complete(row, [{"index": 0}])
+        assert row.status == "done" and ledger.settled
+        assert ledger.results == [{"index": 0}] and ledger.retries == 1
+
+    def test_wake_at_counts_deadlines_and_future_retry_windows_only(self):
+        ledger = _ledger(3, lease_timeout_s=5.0, backoff_base_s=1.0,
+                         jitter=0.0)
+        assert ledger.wake_at(0.0) is None   # ready rows wait for workers
+        ledger.grant("w1", 0.0)
+        assert ledger.wake_at(0.0) == 5.0
+        ledger.fail(ledger.grant("w2", 0.0), "crash", "exit code 86", 0.5)
+        assert ledger.wake_at(1.0) == 1.5
+        assert ledger.wake_at(2.0) == 5.0    # that retry is ready by now
 
 
 def _report_bytes(result):

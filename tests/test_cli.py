@@ -254,6 +254,30 @@ class TestEval:
         assert main(["eval", "fig5", "--pairs", "30"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
+    def test_closed_stdout_exits_without_a_traceback(self):
+        """`repro ... | head`: a reader that went away is exit 1, not a
+        BrokenPipeError traceback."""
+        import os
+        import subprocess
+        import sys as _sys
+
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)   # closed before the command writes anything
+        try:
+            proc = subprocess.run(
+                [_sys.executable, "-m", "repro", "eval", "table1",
+                 "--width", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 1
+
 
 class TestCampaignDiffCli:
     # Mutation off to match campaign-diff's run-mode default (identical
@@ -600,7 +624,7 @@ class TestDistCli:
             url = banner.split()[1]
             worker = subprocess.run(
                 [_sys.executable, "-m", "repro", "work", url,
-                 "--name", "cli-w1", "--poll-interval", "0.05"],
+                 "--name", "cli-w1"],
                 capture_output=True, text=True, env=env, timeout=300,
             )
             out, _ = coordinator.communicate(timeout=300)
