@@ -6,7 +6,12 @@ both wire and JSON encodings, malformed submissions, the verdict-lookup
 and stats endpoints.  Shape assertions are tolerant (required keys and
 types only) so additive response fields never break this script.
 
-Usage: service_smoke.py [BASE_URL]   (default http://127.0.0.1:8737)
+With ``--restarted`` it checks instead that a service booted on the
+store an earlier run saved answers the same program from that store:
+cached on the first request, with no verification.
+
+Usage: service_smoke.py [--restarted] [BASE_URL]
+(default http://127.0.0.1:8737)
 """
 
 import json
@@ -61,8 +66,26 @@ def check_error_shape(label, body):
           and isinstance(error.get("message"), str), body)
 
 
+def restarted(base):
+    status, body = post_wire(base, GOOD_WIRE)
+    check("restarted POST status", status == 200, (status, body))
+    check_verdict_shape("restarted POST", body)
+    check("first POST after restart is cached",
+          body["cached"] is True and body["ok"] is True, body)
+    status, stats = request(base, "/stats")
+    service = stats.get("service", {})
+    check("stats: no verification after restart",
+          status == 200 and service.get("verifications") == 0, service)
+    print("service smoke (restarted): all checks passed")
+
+
 def main():
-    base = sys.argv[1] if len(sys.argv) > 1 else "http://127.0.0.1:8737"
+    args = sys.argv[1:]
+    if args[:1] == ["--restarted"]:
+        base = args[1] if len(args) > 1 else "http://127.0.0.1:8737"
+        restarted(base)
+        return
+    base = args[0] if args else "http://127.0.0.1:8737"
 
     status, body = request(base, "/healthz")
     check("healthz", status == 200 and body.get("status") == "ok", body)

@@ -7,7 +7,9 @@ into :class:`~repro.api.models.VerifyRequest` and renders the
 service contract is testable without a socket.
 
 Every request is keyed on ``(Program.canonical_hash(), ctx_size)`` and
-routed through one shared :class:`~repro.bpf.canon.VerdictCache`:
+routed through one shared :class:`~repro.bpf.canon.VerdictCache`, the
+only verdict cache in the repo (the verifier, the differential oracle
+and campaigns always walk):
 
 * **hit** — answered without a walk, O(1); the dominant pattern at
   scale is repeat submissions, and this is what makes them cheap.
@@ -42,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import faults as _faults
 from repro import obs as _obs
 from repro.bpf.canon import CachedVerdict, VerdictCache
-from repro.bpf.program import Program
 from repro.bpf.verifier import Verifier
 
 from .models import Verdict, VerifyRequest, precision_summary, with_diagnostics
@@ -381,7 +382,8 @@ class VerificationService:
         return with_diagnostics(payload)
 
     def summary_line(self) -> str:
-        """One greppable shutdown line (mirrors the campaign CLI's)."""
+        """One greppable shutdown line: the cache's hits, misses,
+        entries and evictions, and the store path if one is set."""
         with self._lock:
             return self.cache.summary_line(self.cache_path)
 

@@ -1,12 +1,10 @@
 """Canonical program forms and verdict memoization.
 
-At load-service scale the dominant traffic pattern is repeat and
-near-repeat submissions: the same program assembled with different
-labels, scratch fields left over from mutation, an immediate spelled
-``-1`` in one copy and ``0xFFFFFFFF`` in another.  The verifier's
-verdict depends on none of that, so verifying each *structure* once is
-the biggest win after the compile-once pipelines (PR 4/5) — ROADMAP
-speed item (2), "structural memoization".
+A verification service sees repeat and near-repeat submissions: the
+same program assembled with different labels, scratch fields left over
+from mutation, an immediate spelled ``-1`` in one copy and
+``0xFFFFFFFF`` in another.  The verifier's verdict depends on none of
+that, so ``repro serve`` verifies each *structure* once.
 
 Two layers live here:
 
@@ -31,19 +29,19 @@ cannot prove anything about keeps its raw fields.
 **Verdict memo** — :class:`VerdictCache` maps ``(canonical_hash,
 ctx_size)`` to a :class:`CachedVerdict`: the full
 :class:`~repro.bpf.verifier.errors.VerificationResult` (accept/reject,
-error index/reason/structural flag, instructions processed), the
-recorded ``on_transfer`` event stream (so cached verdicts replay
-byte-identical telemetry into the campaign's collectors), and — when
-the differential oracle stored the entry — the containment *plans* its
-replays check against.  Entries are LRU-evicted past ``max_entries``
-and serialize to a JSON payload that doubles as the persistent
-cross-run store (``--verdict-cache``) and the campaign's worker-shard
-format (see :mod:`repro.fuzz.campaign`).  Format details are in
-``docs/caching.md``.
+error index/reason/structural flag, instructions processed) and the
+recorded ``on_transfer`` event stream, from which the service renders
+its precision summary.  :class:`~repro.api.service.VerificationService`
+(``repro serve``) is its one user.  Entries are LRU-evicted past
+``max_entries`` and serialize to the JSON store ``repro serve
+--verdict-cache`` loads at startup and saves at shutdown; the store is
+stamped with the engine that wrote it (see :func:`_engine_hash`).
+Format details are in ``docs/caching.md``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -81,8 +79,10 @@ U32 = (1 << 32) - 1
 #: the hash seed) changes — persisted stores carry it, so a stale store
 #: can never serve verdicts computed under different equivalence rules.
 CANON_VERSION = 1
-#: Version of the JSON store/shard layout itself.
+#: Version of the JSON store layout itself.
 STORE_FORMAT_VERSION = 1
+#: Packages (under ``repro``) whose code decides a verdict.
+_ENGINE_PACKAGES = ("core", "domains", "bpf")
 
 _HASH_SEED = b"repro-canon-v1"
 #: opcode, dst, src, pad, field3 (s32: jump-target index or offset),
@@ -244,25 +244,19 @@ def _unpack_scalar(fields: Sequence[int]) -> ScalarValue:
 
 #: One recorded ``on_transfer`` call: ``(insn_index, label, scalar)``.
 Event = Tuple[int, str, ScalarValue]
-#: The oracle's per-instruction containment plan (see
-#: :meth:`repro.fuzz.oracle.DifferentialOracle._build_plans`).
-Plans = List[Optional[List[Tuple]]]
 
 
 class CachedVerdict:
     """Everything a verdict consumer can observe, minus the walk.
 
     ``events`` is the complete ``on_transfer`` stream the abstract walk
-    produced, in order — replaying it into a telemetry hook is
-    indistinguishable from re-verifying.  ``plans`` is optional: only
-    entries stored by the differential oracle carry the containment
-    plans its concrete replays check against (a plain verifier entry
-    stores ``None``, and the oracle upgrades it on its next miss).
+    produced, in order, so a precision summary rendered from a hit is
+    the one the walk would give.
     """
 
     __slots__ = (
         "ok", "error_index", "error_reason", "error_structural",
-        "insns_processed", "events", "plans",
+        "insns_processed", "events",
     )
 
     def __init__(
@@ -273,7 +267,6 @@ class CachedVerdict:
         error_structural: bool,
         insns_processed: int,
         events: Tuple[Event, ...],
-        plans: Optional[Plans] = None,
     ) -> None:
         self.ok = ok
         self.error_index = error_index
@@ -281,14 +274,10 @@ class CachedVerdict:
         self.error_structural = error_structural
         self.insns_processed = insns_processed
         self.events = events
-        self.plans = plans
 
     @classmethod
     def from_result(
-        cls,
-        result: VerificationResult,
-        events: Tuple[Event, ...],
-        plans: Optional[Plans] = None,
+        cls, result: VerificationResult, events: Tuple[Event, ...]
     ) -> "CachedVerdict":
         error = result.errors[0] if result.errors else None
         return cls(
@@ -298,7 +287,6 @@ class CachedVerdict:
             error_structural=bool(error is not None and error.structural),
             insns_processed=result.insns_processed,
             events=events,
-            plans=plans,
         )
 
     def result(self) -> VerificationResult:
@@ -309,11 +297,6 @@ class CachedVerdict:
             self.error_index, self.error_reason, self.error_structural
         )
         return VerificationResult(False, [error], self.insns_processed)
-
-    def replay(self, note) -> None:
-        """Feed the recorded transfer stream into ``note`` in order."""
-        for idx, label, scalar in self.events:
-            note(idx, label, scalar)
 
     # -- (de)serialization -------------------------------------------------
 
@@ -330,35 +313,11 @@ class CachedVerdict:
             payload["error"] = [
                 self.error_index, self.error_reason, self.error_structural,
             ]
-        if self.plans is not None:
-            payload["plans"] = [
-                None if plan is None else [
-                    [reg, notmask, value, umin, umax, base,
-                     _pack_scalar(obj), region]
-                    for reg, notmask, value, umin, umax, base, obj, region
-                    in plan
-                ]
-                for plan in self.plans
-            ]
         return payload
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "CachedVerdict":
         error = payload.get("error")
-        plans: Optional[Plans] = None
-        if "plans" in payload:
-            plans = [
-                None if plan is None else [
-                    (
-                        int(entry[0]), int(entry[1]), int(entry[2]),
-                        int(entry[3]), int(entry[4]),
-                        None if entry[5] is None else int(entry[5]),
-                        _unpack_scalar(entry[6]), entry[7],
-                    )
-                    for entry in plan
-                ]
-                for plan in payload["plans"]
-            ]
         return cls(
             ok=bool(payload["ok"]),
             error_index=int(error[0]) if error else 0,
@@ -369,11 +328,29 @@ class CachedVerdict:
                 (int(idx), str(label), _unpack_scalar(fields))
                 for idx, label, fields in payload["events"]
             ),
-            plans=plans,
         )
 
 
 # -- the memo layer ------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_hash() -> str:
+    """sha256 over the verifier's source, stamped into every store.
+
+    Covers the relative path and bytes of every ``.py`` file under
+    ``repro/core``, ``repro/domains`` and ``repro/bpf``, so a store
+    written before a transfer-function change or a soundness fix no
+    longer loads.  Computed once, on first use.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for package in _ENGINE_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
 
 CacheKey = Tuple[str, int]   # (canonical_hash, ctx_size)
 
@@ -389,13 +366,10 @@ class VerdictCache:
     ``evictions`` count this instance's traffic; with observability on,
     the same events tick the ``verdict_cache.*`` counters and a
     ``cache``/``lookup`` timer in the obs registry (so they surface in
-    ``repro stats`` and worker shards automatically).
+    ``repro stats`` and ``/metrics`` automatically).
 
-    The JSON payload (:meth:`to_payload` / :meth:`from_payload`) is used
-    three ways: the ``--verdict-cache`` persistent store, the campaign's
-    per-round worker bootstrap, and — via :meth:`drain_new` /
-    :meth:`absorb` — the per-item shard workers ship back, merged in
-    index order exactly like obs registries.
+    The JSON payload (:meth:`to_payload` / :meth:`from_payload`) is the
+    persistent store, written by :meth:`save` and read by :meth:`load`.
     """
 
     def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES) -> None:
@@ -406,9 +380,6 @@ class VerdictCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: keys inserted/refreshed-with-new-content since the last drain.
-        self._journal: List[CacheKey] = []
-        self._shipped = (0, 0, 0)   # (hits, misses, evictions) at last drain
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -427,15 +398,8 @@ class VerdictCache:
 
     # -- core ---------------------------------------------------------------
 
-    def get(
-        self, key: CacheKey, require_plans: bool = False
-    ) -> Optional[CachedVerdict]:
-        """The entry for ``key``, or ``None`` (counted as a miss).
-
-        ``require_plans`` makes an accepted entry without containment
-        plans look like a miss: the oracle cannot replay against it, so
-        it re-verifies and :meth:`put` upgrades the entry in place.
-        """
+    def get(self, key: CacheKey) -> Optional[CachedVerdict]:
+        """The entry for ``key``, or ``None`` (counted as a miss)."""
         entries = self._entries
         if _obs.enabled():
             t0 = time.perf_counter_ns()
@@ -445,8 +409,6 @@ class VerdictCache:
         else:
             entry = entries.get(key)
             counter = None
-        if entry is not None and require_plans and entry.ok and entry.plans is None:
-            entry = None
         if entry is None:
             self.misses += 1
             if counter is not None:
@@ -462,7 +424,6 @@ class VerdictCache:
         entries = self._entries
         entries[key] = entry
         entries.move_to_end(key)
-        self._journal.append(key)
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.evictions += 1
@@ -471,88 +432,13 @@ class VerdictCache:
                     "verdict_cache.evictions"
                 ).inc()
 
-    def store(
-        self,
-        key: CacheKey,
-        result: VerificationResult,
-        events: Optional[Sequence[Event]],
-        plans: Optional[Plans] = None,
-    ) -> None:
-        """Record a freshly computed verdict (convenience over put)."""
-        self.put(
-            key,
-            CachedVerdict.from_result(
-                result, tuple(events or ()), plans=plans
-            ),
-        )
-
-    # -- worker shards ------------------------------------------------------
-
-    def drain_new(self) -> Dict:
-        """Entries recorded since the last drain, plus stat deltas.
-
-        The worker-side half of merge-on-return: cheap relative to the
-        fuzz item it rides on (entries are small and most items add at
-        most one).  Evicted-before-drain keys are skipped.
-        """
-        entries = self._entries
-        fresh: "OrderedDict[CacheKey, CachedVerdict]" = OrderedDict()
-        for key in self._journal:
-            entry = entries.get(key)
-            if entry is not None:
-                fresh[key] = entry
-        self._journal = []
-        hits, misses, evictions = self._shipped
-        shard = {
-            "entries": [
-                [key[0], key[1], entry.to_payload()]
-                for key, entry in fresh.items()
-            ],
-            "hits": self.hits - hits,
-            "misses": self.misses - misses,
-            "evictions": self.evictions - evictions,
-        }
-        self._shipped = (self.hits, self.misses, self.evictions)
-        return shard
-
-    def absorb(self, shard: Dict) -> None:
-        """Merge a worker shard (parent-side half of merge-on-return).
-
-        Keep-first on conflicts — structurally identical programs yield
-        identical entries, so the only real upgrade is plans appearing
-        on a previously plan-less accepted entry.  Folding shards in
-        index order therefore produces the same entry set for any
-        worker count.
-
-        All-or-nothing: the whole shard is decoded *before* anything is
-        applied, so a corrupt shard (truncated pipe payload, an injected
-        ``campaign.shard.corrupt``) raises without leaving a half-merged
-        cache behind — the campaign's absorb loop rejects it and carries
-        on with the entries it already has.
-        """
-        decoded = [
-            ((str(chash), int(ctx_size)), CachedVerdict.from_payload(payload))
-            for chash, ctx_size, payload in shard.get("entries", [])
-        ]
-        hits = int(shard.get("hits", 0))
-        misses = int(shard.get("misses", 0))
-        evictions = int(shard.get("evictions", 0))
-        for key, incoming in decoded:
-            existing = self._entries.get(key)
-            if existing is None or (
-                existing.plans is None and incoming.plans is not None
-            ):
-                self.put(key, incoming)
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-
     # -- persistence --------------------------------------------------------
 
     def to_payload(self) -> Dict:
         return {
             "format_version": STORE_FORMAT_VERSION,
             "canon_version": CANON_VERSION,
+            "engine": _engine_hash(),
             "max_entries": self.max_entries,
             "entries": [
                 [key[0], key[1], entry.to_payload()]
@@ -578,6 +464,11 @@ class VerdictCache:
             raise ValueError(
                 f"verdict cache built for canonical form {canon!r}; "
                 f"this build uses {CANON_VERSION} — discard the store"
+            )
+        if payload.get("engine") != _engine_hash():
+            raise ValueError(
+                "verdict cache written by another verifier build (its "
+                "engine stamp differs) — discard the store"
             )
         cache = cls(max_entries=int(payload.get("max_entries",
                                                 _DEFAULT_MAX_ENTRIES)))
@@ -627,8 +518,9 @@ class VerdictCache:
         silently dropping a store the caller asked for would hide the
         misconfiguration behind a 0% hit rate.  Every failure mode (a
         partially written file from a crashed run, hand-edited JSON, a
-        store from a different format version) surfaces as one clear
-        message naming the file, never a traceback from the decoder.
+        store from a different format version or verifier build)
+        surfaces as one clear message naming the file, never a traceback
+        from the decoder.
         """
         store = Path(path)
         if not store.exists():

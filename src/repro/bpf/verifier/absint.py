@@ -23,18 +23,19 @@ instruction as it visits it and dispatches through
 :meth:`Verifier._transfer` and :meth:`Verifier._branch` — the same
 methods :class:`~repro.bpf.verifier.paths.PathSensitiveVerifier`
 explores paths with — and keeps nothing between calls: no per-program
-compiled form and no module-level cache of walk state.  Once per basic
-block it checks the optional ``deadline_s`` watchdog and the
-``verify.hang`` fault site; with :mod:`repro.obs` enabled it charges
-each instruction's time to a ``verifier`` timer labelled by
-:func:`step_label`.
+compiled form, no module-level cache of walk state and no verdict cache
+(only :class:`~repro.api.service.VerificationService` caches verdicts,
+above the walk).  Once per basic block it checks the optional
+``deadline_s`` watchdog and the ``verify.hang`` fault site; with
+:mod:`repro.obs` enabled it charges each instruction's time to a
+``verifier`` timer labelled by :func:`step_label`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro import faults as _faults
 from repro import obs as _obs
@@ -51,9 +52,6 @@ from repro.core.lattice import meet as tnum_meet
 from .errors import VerificationResult, VerifierError
 from .memory import check_mem_access, load_stack, store_stack
 from .state import AbstractState, RegState, Region
-
-if TYPE_CHECKING:
-    from repro.bpf.canon import VerdictCache
 
 __all__ = ["Verifier", "verify_program", "transfer_label", "step_label"]
 
@@ -434,15 +432,10 @@ class Verifier:
     #: branch refinements, labelled per :func:`transfer_label`).  Used by
     #: the fuzz campaign's precision telemetry.
     on_transfer: Optional[Callable[[int, str, ScalarValue], None]] = None
-    #: structural verdict memo (see :mod:`repro.bpf.canon`): when set,
-    #: :meth:`verify` resolves programs whose canonical form was already
-    #: verified at this ``ctx_size`` from the cache, replaying the
-    #: recorded transfer stream into ``on_transfer`` instead of walking.
-    verdict_cache: Optional["VerdictCache"] = None
     #: wall-clock watchdog for the walk: when set, the walk checks
     #: ``time.monotonic()`` once per basic block and stops with a
     #: structured timeout rejection (``VerifierError.timeout``) instead
-    #: of running unbounded.  Timeout results are never cached — the
+    #: of running unbounded.  The service never caches a timeout — the
     #: deadline is a property of the *request*, not the program.
     deadline_s: Optional[float] = None
 
@@ -451,45 +444,8 @@ class Verifier:
     def verify(self, program: Program) -> VerificationResult:
         """Verify ``program`` in one walk over its CFG.
 
-        With a :attr:`verdict_cache` attached, the walk itself is skipped
-        for structurally identical repeats: verdict, error detail, and
-        telemetry stream all come from the cached entry, byte-identical
-        to a fresh walk.  ``collect_states`` bypasses the cache —
-        per-instruction entry states are walk artifacts the cache does
-        not carry.
+        Visits the blocks in reverse post-order, joining at merges.
         """
-        cache = self.verdict_cache
-        if cache is None or self.collect_states:
-            return self._walk(program)
-        key = (program.canonical_hash(), self.ctx_size)
-        entry = cache.get(key)
-        note = self.on_transfer
-        if entry is not None:
-            if note is not None:
-                entry.replay(note)
-            return entry.result()
-        # Miss: record the transfer stream regardless of whether this
-        # caller listens — a later hit must be able to replay telemetry
-        # no matter who populated the entry.
-        events: List[Tuple[int, str, ScalarValue]] = []
-        record = events.append
-
-        def recording_note(idx: int, label: str, scalar: ScalarValue) -> None:
-            record((idx, label, scalar))
-            if note is not None:
-                note(idx, label, scalar)
-
-        self.on_transfer = recording_note
-        try:
-            result = self._walk(program)
-        finally:
-            self.on_transfer = note
-        if not result.timed_out:
-            cache.store(key, result, events)
-        return result
-
-    def _walk(self, program: Program) -> VerificationResult:
-        """Visit the blocks in reverse post-order, joining at merges."""
         try:
             cfg = build_cfg(program)
         except CFGError as exc:

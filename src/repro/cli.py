@@ -238,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--state", metavar="DIR",
                         help="checkpoint directory; rerunning with the "
                              "same spec resumes the campaign")
-    p_camp.add_argument("--verdict-cache", metavar="PATH",
-                        help="persistent verdict store: structurally "
-                             "identical programs are verified once, "
-                             "across runs too (reports are unaffected)")
-    p_camp.add_argument("--verdict-cache-size", type=int, default=65536,
-                        metavar="N",
-                        help="max cached verdicts before LRU eviction "
-                             "(default 65536)")
     p_camp.add_argument("--report", metavar="PATH",
                         help="write the PrecisionReport as JSON")
     p_camp.add_argument("--markdown", metavar="PATH",
@@ -327,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "omit ctx_size (default 64)")
     p_serve.add_argument("--verdict-cache", metavar="PATH",
                          help="persistent verdict store, loaded at "
-                              "startup and saved on shutdown (same "
-                              "format as repro campaign's)")
+                              "startup and saved on shutdown")
     p_serve.add_argument("--verdict-cache-size", type=int, default=65536,
                          metavar="N",
                          help="max cached verdicts before LRU eviction "
@@ -825,33 +816,20 @@ def _cmd_campaign(args) -> int:
     spec = _campaign_spec(args)
     if isinstance(spec, int):
         return spec
-    cache = None
-    if args.verdict_cache:
-        from repro.bpf.canon import VerdictCache
-
-        try:
-            cache = VerdictCache.load(
-                args.verdict_cache, max_entries=args.verdict_cache_size
-            )
-        except ValueError as exc:   # stale format / wrong canon version
-            print(f"error: --verdict-cache {args.verdict_cache}: {exc}",
-                  file=sys.stderr)
-            return 2
     try:
         with _obs_session(args):
             result = run_precision_campaign(
-                spec, state_dir=args.state, verdict_cache=cache,
-                retry_policy=policy,
+                spec, state_dir=args.state, retry_policy=policy,
             )
     except CampaignStateError as exc:   # unusable --state directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"campaign: seed={args.seed} profile={args.profile} "
           f"rounds={args.rounds} workers={args.workers}")
-    return _print_campaign_result(args, result, cache)
+    return _print_campaign_result(args, result)
 
 
-def _print_campaign_result(args, result, cache=None) -> int:
+def _print_campaign_result(args, result) -> int:
     """Print a finished precision campaign and write its ``--report``,
     ``--markdown`` and ``--corpus`` files; returns the exit code.
 
@@ -867,9 +845,6 @@ def _print_campaign_result(args, result, cache=None) -> int:
         where = f" -> {args.state}/poison/" if args.state else ""
         print(f"quarantine: {len(result.quarantined)} poison "
               f"batch(es){where}")
-    if cache is not None:
-        cache.save(args.verdict_cache)
-        print(cache.summary_line(args.verdict_cache))
     print()
     print(render_precision_report(result.report, top=args.top))
     _print_violations(result.corpus)

@@ -4,16 +4,16 @@ Chaos testing only proves something when the chaos is *reproducible*: a
 campaign that survives "random worker kills" once tells you nothing a
 rerun can confirm.  This module injects faults from a seeded
 :class:`FaultPlan` at **named sites** threaded through the stack —
-worker crashes, verification hangs, torn cache saves, corrupt worker
-shards, slow/failed store I/O — so the exact same faults fire at the
-exact same points on every run with the same plan.
+worker crashes, verification hangs, torn cache saves, slow/failed store
+I/O — so the exact same faults fire at the exact same points on every
+run with the same plan.
 
 The arming contract mirrors :mod:`repro.obs`'s zero-overhead switch:
 
 * injection is **off by default**, and the disabled path is a single
   module-attribute read (:func:`enabled`) — hot loops hoist even that
   (see the deadline/hang handling in
-  :meth:`repro.bpf.verifier.absint.Verifier._walk`);
+  :meth:`repro.bpf.verifier.absint.Verifier.verify`);
 * a plan is armed explicitly (:func:`arm`), via the ``--faults`` CLI
   flag, or via the ``REPRO_FAULTS`` environment variable (read at
   import time, so subprocesses — campaign workers under ``spawn``,
@@ -37,7 +37,7 @@ A plan is one comma-separated string::
     seed=42,campaign.worker.crash=0.5,verify.hang=1.0:0.05
 
 Each entry is ``site=probability`` with an optional ``:arg`` carrying a
-site-specific parameter (hang/slow sites: the delay in seconds; corrupt
+site-specific parameter (hang/slow sites: the delay in seconds; other
 sites: unused).  Unknown sites are an error — a typo'd site silently
 injecting nothing would be the worst possible chaos-test outcome.
 """
@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro import obs as _obs
 
@@ -64,7 +64,6 @@ __all__ = [
     "arg",
     "sleep_if",
     "crash_point",
-    "corrupt_payload",
     "worker_init_state",
     "init_worker",
 ]
@@ -78,8 +77,6 @@ WORKER_CRASH_EXIT_CODE = 86
 SITES: Dict[str, str] = {
     "campaign.worker.crash":
         "a campaign/driver lease worker dies with os._exit mid-batch",
-    "campaign.shard.corrupt":
-        "a worker's verdict-cache shard is mangled before shipping",
     "campaign.checkpoint.torn":
         "a campaign --state checkpoint write dies after the temp write",
     "cache.save.torn":
@@ -305,20 +302,6 @@ def crash_point(site: str, key: Iterable[object] = ()) -> None:
     """
     if fire(site, key):
         os._exit(WORKER_CRASH_EXIT_CODE)
-
-
-def corrupt_payload(payload: Dict) -> Dict:
-    """A deterministically mangled stand-in for a worker shard.
-
-    The shape a parent sees when a worker's result was truncated or
-    bit-flipped in flight: entries replaced by garbage the absorb path
-    must reject without poisoning the merged state.
-    """
-    return {
-        "entries": [["\x00corrupt", "not-an-int", {"truncated": True}]],
-        "hits": payload.get("hits", 0),
-        "misses": "NaN",
-    }
 
 
 # -- worker propagation -----------------------------------------------------

@@ -26,9 +26,11 @@ Determinism and resumability
 Program ``index`` fuzzes a stream derived from ``(campaign_seed,
 index)`` only; worker shards are merged in index order; every telemetry
 counter is an integer.  The merged :class:`PrecisionReport` therefore
-serializes byte-identically for 1, 2, or N workers.  With a
-``state_dir`` the campaign checkpoints after every round (spec, pool,
-stats, report, corpus) and a rerun resumes where it stopped.
+serializes byte-identically for 1, 2, or N workers.  No verdict is
+cached between programs or runs: every program gets the live abstract
+walk and its own concrete replays.  With a ``state_dir`` the campaign
+checkpoints after every round (spec, pool, stats, report, corpus) and a
+rerun resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro import obs as _obs
-from repro.bpf.canon import VerdictCache
 from repro.bpf.program import Program
 from repro.bpf.verifier.absint import step_label
 from repro.eval.precision import OperatorStats, PrecisionReport, gamma_bits
@@ -249,39 +250,17 @@ _worker_pool: Tuple[str, ...] = ()
 #: work items mutate the same base seed, and a decoded ``Program``
 #: carries its cached compiled form (for concrete replay) with it.
 _worker_pool_programs: Dict[int, Program] = {}
-#: Per-worker verdict cache.  Inline (workers == 1) it *is* the parent's
-#: cache; under multiprocessing each worker gets a private copy seeded
-#: from the parent's round-start snapshot and ships newly recorded
-#: entries back per item (``_worker_cache_shared`` distinguishes the two).
-_worker_cache: Optional[VerdictCache] = None
-_worker_cache_shared: bool = False
 
 
 def _set_worker_state(
     spec: CampaignSpec,
     pool: Tuple[str, ...],
     obs_state: "Optional[Tuple[bool, int]]" = None,
-    cache: "Optional[VerdictCache | Dict]" = None,
 ) -> None:
     global _worker_spec, _worker_pool, _worker_pool_programs
-    global _worker_cache, _worker_cache_shared
     _worker_spec = spec
     _worker_pool = pool
     _worker_pool_programs = {}
-    # A live VerdictCache means the caller shares its object (inline
-    # path); a dict is a pickled snapshot for a forked/spawned worker,
-    # whose additions travel back as per-item shards (see _fuzz_one).
-    if cache is None:
-        _worker_cache = None
-        _worker_cache_shared = False
-    elif isinstance(cache, VerdictCache):
-        _worker_cache = cache
-        _worker_cache_shared = True
-    else:
-        # from_payload loads without journaling, so bootstrap entries
-        # are never re-shipped as "new".
-        _worker_cache = VerdictCache.from_payload(cache)
-        _worker_cache_shared = False
     # Workers inherit the parent's obs switch (walks and compiled
     # closures must instrument consistently) but no sinks — metrics
     # return with each result via the scoped registry.
@@ -299,21 +278,14 @@ def _pool_program(index: int) -> Program:
 
 
 def _telemetry_oracle(
-    spec: CampaignSpec,
-    collector: Optional[TransferCollector],
-    verdict_cache: Optional[VerdictCache] = None,
+    spec: CampaignSpec, collector: Optional[TransferCollector]
 ):
-    # ``verdict_cache`` is explicit (not read from the worker global):
-    # the shrink predicates below reuse this constructor parent-side and
-    # must stay uncached, or the inline path would record cache entries
-    # the multiprocessing path never sees.
     return DifferentialOracle(
         ctx_size=spec.ctx_size,
         inputs_per_program=spec.inputs_per_program,
         on_transfer=collector.record if collector is not None else None,
         collect_ranges=True,
         step_limit=spec.step_limit,
-        verdict_cache=verdict_cache,
     )
 
 
@@ -375,21 +347,8 @@ def _fuzz_one(index: int) -> Dict:
         with _obs.scoped_registry() as registry:
             out = _fuzz_one_inner(index)
         out["obs"] = registry.to_dict()
-    else:
-        out = _fuzz_one_inner(index)
-    if _worker_cache is not None and not _worker_cache_shared:
-        # Same merge-on-return shape as obs: newly recorded verdicts ride
-        # home with the item and the parent absorbs them in index order.
-        shard = _worker_cache.drain_new()
-        if _faults.enabled() and _faults.fire(
-            "campaign.shard.corrupt", (index,)
-        ):
-            # Chaos: ship garbage instead.  The parent's absorb loop must
-            # reject it without poisoning the merged cache — and the
-            # PrecisionReport never depends on the cache either way.
-            shard = _faults.corrupt_payload(shard)
-        out["verdict_cache"] = shard
-    return out
+        return out
+    return _fuzz_one_inner(index)
 
 
 def _fuzz_batch(
@@ -419,7 +378,7 @@ def _fuzz_one_inner(index: int) -> Dict:
     )
 
     collector = TransferCollector()
-    oracle = _telemetry_oracle(spec, collector, verdict_cache=_worker_cache)
+    oracle = _telemetry_oracle(spec, collector)
     report = oracle.check_program(program, input_seed_base=seed)
 
     ops = collector.ops
@@ -737,7 +696,6 @@ def merge_round_results(
     pool: List[str],
     corpus: Corpus,
     results: List[Dict],
-    verdict_cache: Optional[VerdictCache] = None,
 ) -> None:
     """Fold one completed round's results into the campaign state.
 
@@ -758,26 +716,6 @@ def merge_round_results(
             shard = res.pop("obs", None)
             if shard is not None:
                 registry.merge_dict(shard)
-    if verdict_cache is not None:
-        # Absorb worker verdict shards in index order (keep-first on
-        # duplicates), so the resulting entry set is identical for
-        # any worker count.  Inline rounds mutate the cache directly
-        # and ship no shards.  A shard that fails to decode — a torn
-        # pipe payload, an injected campaign.shard.corrupt — is
-        # dropped whole (absorb is all-or-nothing): the cache is an
-        # accelerator, never report-bearing, so losing a shard costs
-        # re-verification, not correctness.
-        for res in results:
-            shard = res.pop("verdict_cache", None)
-            if shard is None:
-                continue
-            try:
-                verdict_cache.absorb(shard)
-            except (ValueError, KeyError, TypeError, IndexError):
-                if _obs.enabled():
-                    _obs.default_registry().counter(
-                        "campaign.shard_rejected"
-                    ).inc()
 
     for res in results:
         stats.containment_checks += res["checks"]
@@ -860,7 +798,6 @@ def run_precision_campaign(
     corpus: Optional[Corpus] = None,
     state_dir: Optional["str | Path"] = None,
     stop_after_rounds: Optional[int] = None,
-    verdict_cache: Optional[VerdictCache] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> PrecisionCampaignResult:
     """Run (or resume) a precision campaign.
@@ -871,22 +808,14 @@ def run_precision_campaign(
     ``stop_after_rounds`` bounds how many *additional* rounds this call
     executes (used to exercise resumption; ``None`` runs to completion).
 
-    ``verdict_cache`` memoizes verifier verdicts across structurally
-    identical programs (see :mod:`repro.bpf.canon`).  It is a runtime
-    accelerator, not part of the :class:`CampaignSpec`: the
-    PrecisionReport is byte-identical with or without it, at any worker
-    count, and resumed campaigns may toggle it freely.  Workers get a
-    snapshot per round and ship new entries back per item; the caller's
-    cache object accumulates everything (mirroring the obs shard merge).
-
     ``retry_policy`` governs crash recovery in the multi-worker path
     (see :mod:`repro.fuzz.resilience`): a worker that dies or hangs
     mid-batch costs a bounded retry, and a batch that keeps failing is
     quarantined (recorded on the result, and as a poison artifact under
-    ``<state_dir>/poison/``) instead of hanging the round.  Like the
-    cache it is a runtime knob, deliberately outside the spec — the
-    report stays byte-identical to a fault-free run whenever no batch
-    is actually quarantined.
+    ``<state_dir>/poison/``) instead of hanging the round.  It is a
+    runtime knob, deliberately outside the spec — the report stays
+    byte-identical to a fault-free run whenever no batch is actually
+    quarantined.
     """
     retry_policy = retry_policy or RetryPolicy()
     state_path = Path(state_dir) if state_dir is not None else None
@@ -927,10 +856,6 @@ def run_precision_campaign(
         # programs of bytecode, so work items stay bare indices.
         round_pool = tuple(pool)
         if spec.workers > 1 and len(indices) > 1:
-            cache_snapshot = (
-                verdict_cache.to_payload()
-                if verdict_cache is not None else None
-            )
             with _obs.tracer().span(
                 "campaign.round", round=rnd, programs=len(indices),
                 workers=spec.workers,
@@ -942,10 +867,7 @@ def run_precision_campaign(
                     _fuzz_batch,
                     spec.workers,
                     initializer=_set_worker_state,
-                    initargs=(
-                        spec, round_pool, _obs.worker_init_state(),
-                        cache_snapshot,
-                    ),
+                    initargs=(spec, round_pool, _obs.worker_init_state()),
                     policy=retry_policy,
                 )
             results = ledger.results
@@ -955,16 +877,13 @@ def run_precision_campaign(
                 state_path, rnd, spec, round_pool, ledger.quarantined
             )
         else:
-            _set_worker_state(spec, round_pool, cache=verdict_cache)
+            _set_worker_state(spec, round_pool)
             with _obs.tracer().span(
                 "campaign.round", round=rnd, programs=len(indices),
                 workers=1,
             ):
                 results = [_fuzz_one(index) for index in indices]
-        merge_round_results(
-            spec, stats, report, pool, corpus, results,
-            verdict_cache=verdict_cache,
-        )
+        merge_round_results(spec, stats, report, pool, corpus, results)
 
         stats.rounds_completed = rnd + 1
         rounds_this_call += 1

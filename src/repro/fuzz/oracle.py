@@ -14,6 +14,10 @@ Rejection is conservative and therefore never *unsound*; the oracle
 still executes rejected programs once and records whether the run was
 clean, which measures the verifier's false-positive (imprecision) rate
 without flagging it as a bug.
+
+Every check runs the live abstract walk.  The oracle stores no verdicts
+between programs, so a change to the verifier shows up in the very next
+check.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.bpf import isa
-from repro.bpf.canon import VerdictCache
 from repro.bpf.interpreter import CTX_BASE, STACK_BASE, ExecutionError, Machine
 from repro.bpf.program import Program, ProgramError
 from repro.bpf.verifier import VerificationResult, Verifier
 from repro.bpf.verifier.state import AbstractState, RegKind, Region
-from repro.domains.product import ScalarValue
 
 __all__ = ["Violation", "OracleReport", "DifferentialOracle"]
 
@@ -108,7 +110,6 @@ class DifferentialOracle:
         on_transfer: Optional[Callable] = None,
         collect_ranges: bool = False,
         step_limit: int = 1_000_000,
-        verdict_cache: Optional[VerdictCache] = None,
     ) -> None:
         self.ctx_size = ctx_size
         self.inputs_per_program = inputs_per_program
@@ -121,12 +122,6 @@ class DifferentialOracle:
         #: interpreter step budget; campaigns lower it so mutated programs
         #: with (verifier-rejected) loops cannot stall a replay.
         self.step_limit = step_limit
-        #: structural verdict memo (see :mod:`repro.bpf.canon`).  The
-        #: oracle manages the cache itself rather than handing it to the
-        #: verifier: an oracle entry also carries the containment plans,
-        #: so a hit skips both the abstract walk *and* plan construction
-        #: while the concrete replays (seed-dependent) still run.
-        self.verdict_cache = verdict_cache
         #: one verifier reused across every checked program (its per-run
         #: ``states_at`` and ``on_transfer`` are reset per call).
         self._verifier = Verifier(
@@ -183,46 +178,13 @@ class DifferentialOracle:
         input_seed_base: int,
         replay_if: Optional[Callable[[VerificationResult], bool]],
     ) -> OracleReport:
+        verifier = self._verifier
+        verifier.states_at = {}
         # Re-read per call: callers may (re)wire the telemetry hook on
-        # the oracle after construction.
-        note = self.on_transfer
-        cache = self.verdict_cache
-        plans: Optional[List[Optional[List[Tuple]]]] = None
-        if cache is not None:
-            key = (program.canonical_hash(), self.ctx_size)
-            # require_plans: an accepted entry stored by a plain verifier
-            # has no containment plans — treat it as a miss and upgrade
-            # it below.
-            entry = cache.get(key, require_plans=True)
-            if entry is not None:
-                if note is not None:
-                    entry.replay(note)
-                result = entry.result()
-                plans = entry.plans
-            else:
-                verifier = self._verifier
-                verifier.states_at = {}
-                events: List[Tuple[int, str, ScalarValue]] = []
-                record = events.append
-
-                def recording_note(
-                    idx: int, label: str, scalar: ScalarValue
-                ) -> None:
-                    record((idx, label, scalar))
-                    if note is not None:
-                        note(idx, label, scalar)
-
-                verifier.on_transfer = recording_note
-                result = verifier.verify(program)
-                # The stored entry is the same whatever replay_if says.
-                if result.ok:
-                    plans = self._build_plans(program, verifier.states_at)
-                cache.store(key, result, events, plans=plans)
-        else:
-            verifier = self._verifier
-            verifier.states_at = {}
-            verifier.on_transfer = note
-            result = verifier.verify(program)
+        # the oracle after construction, as the near-miss shrink
+        # predicate does for each candidate.
+        verifier.on_transfer = self.on_transfer
+        result = verifier.verify(program)
 
         if replay_if is not None and not replay_if(result):
             return OracleReport(
@@ -249,16 +211,15 @@ class DifferentialOracle:
                 report.runs = 1
             return report
 
-        if plans is None:
-            plans = self._build_plans(program, self._verifier.states_at)
+        plans = self._build_plans(program, verifier.states_at)
         report = OracleReport(verdict="accepted")
         # Replay batching: everything that is per-program (not per-input)
         # is computed exactly once — the observation plan derived from
-        # the verifier's states (or fetched from the verdict cache), its
-        # constant-register fast form, and the ALU destination map for
-        # range tracking — and a single Machine is reset per input
-        # instead of reallocated.  The per-input seeds and context
-        # buffers are kept across calls with the same seed base.
+        # the verifier's states, its constant-register fast form, and
+        # the ALU destination map for range tracking — and a single
+        # Machine is reset per input instead of reallocated.  The
+        # per-input seeds and context buffers are kept across calls with
+        # the same seed base.
         fast = _fast_plans(plans)
         # Destination register per ALU instruction, shared by every
         # replay — the result written by instruction i is observable in
@@ -484,9 +445,7 @@ def _fast_plans(
     registers against the expected values (``(base + offset) & U64``
     for a pointer).  Each step is ``(getter, expected, rest, length)``;
     ``getter`` is None when no entry is constant, and ``rest`` holds
-    the other entries without their message fields.  Derived per
-    checked program, so plans stored in a verdict cache keep their
-    format.
+    the other entries without their message fields.
     """
     out: List[Optional[Tuple]] = []
     for plan in plans:

@@ -74,7 +74,7 @@ class TestServiceDeadline:
 
     def test_verifier_watchdog_bounds_the_walk(self):
         # The in-walk hang (not the service-level one) also surfaces as
-        # a deadline: the compiled walk's own watchdog stops it.
+        # a deadline: the walk's own watchdog stops it.
         faults.arm("seed=1,verify.hang=1:0.5")
         with VerificationService(workers=1, request_timeout_s=0.2) as svc:
             with pytest.raises(DeadlineExceeded):

@@ -7,7 +7,9 @@ import pytest
 
 from repro.api import VerificationService, VerifyRequest
 from repro.bpf import assemble
-from repro.bpf.canon import VerdictCache
+from repro.fuzz import generate_program
+from repro.fuzz.driver import program_seed
+from repro.fuzz.generator import PROFILES
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
 REJECTED = "ldxdw r0, [r10-8]\nexit"
@@ -75,6 +77,35 @@ class TestVerify:
         warm = service.verify(request_for(ACCEPTED, precision=True))
         assert cold.precision == warm.precision
         assert cold.precision["transfers"] > 0
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_hit_renders_what_the_miss_did(self, profile, tmp_path):
+        # Precision on: the summary a hit renders from the stored event
+        # stream must be the one the walk produced, in memory and after
+        # a restart from the saved store.
+        programs = [
+            generate_program(program_seed(7, i), profile).program
+            for i in range(100)
+        ] + [assemble(REJECTED)]
+        requests = [
+            VerifyRequest.from_json_payload({
+                "program_hex": program.to_bytes().hex(),
+                "precision": True,
+            })
+            for program in programs
+        ]
+        path = str(tmp_path / "verdicts.json")
+        with VerificationService(cache_path=path) as svc:
+            misses = [svc.verify(r).to_payload() for r in requests]
+            hits = [svc.verify(r).to_payload() for r in requests]
+        with VerificationService(cache_path=path) as restarted:
+            reloaded = [restarted.verify(r).to_payload() for r in requests]
+            assert restarted.stats()["verifications"] == 0
+        assert not misses[-1]["ok"]
+        for miss, hit, again in zip(misses, hits, reloaded):
+            assert hit["cached"] and again["cached"]
+            assert dict(hit, cached=miss["cached"]) == miss
+            assert dict(again, cached=miss["cached"]) == miss
 
     def test_states_bypass_the_cache(self, service):
         service.verify(request_for(ACCEPTED))

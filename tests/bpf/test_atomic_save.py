@@ -9,8 +9,10 @@ import time
 import pytest
 
 from repro import faults
+from repro.api import VerificationService, VerifyRequest
+from repro.api.service import DeadlineExceeded
 from repro.bpf import assemble
-from repro.bpf.canon import VerdictCache
+from repro.bpf.canon import CachedVerdict, VerdictCache
 from repro.bpf.verifier import Verifier
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
@@ -23,9 +25,25 @@ def disarmed():
     faults.disarm()
 
 
+def _put_walk(cache, text):
+    """Walk ``text`` once and put the recorded verdict into ``cache``."""
+    program = assemble(text)
+    events = []
+    result = Verifier(
+        on_transfer=lambda idx, label, scalar: events.append(
+            (idx, label, scalar)
+        ),
+    ).verify(program)
+    cache.put(
+        (program.canonical_hash(), 64),
+        CachedVerdict.from_result(result, tuple(events)),
+    )
+    return result
+
+
 def _store_with_entry(path):
     cache = VerdictCache()
-    result = Verifier(verdict_cache=cache).verify(assemble(ACCEPTED))
+    result = _put_walk(cache, ACCEPTED)
     assert result.ok and len(cache) == 1
     cache.save(path)
     return path.read_text()
@@ -87,7 +105,7 @@ class TestAtomicSave:
         store = tmp_path / "verdicts.json"
         original = _store_with_entry(store)
         cache = VerdictCache.load(store)
-        Verifier(verdict_cache=cache).verify(assemble("mov r0, 1\nexit"))
+        _put_walk(cache, "mov r0, 1\nexit")
         faults.arm("seed=1,cache.save.torn=1")
         cache.save(store)   # dies after the half-write, before the rename
         faults.disarm()
@@ -113,13 +131,18 @@ class TestVerifierWatchdog:
         assert error.timeout and "deadline" in error.reason
 
     def test_timeouts_are_never_cached(self):
-        cache = VerdictCache()
+        # The service holds the only verdict cache; a walk its watchdog
+        # stopped must not land there.
+        request = VerifyRequest(program=assemble(ACCEPTED))
         faults.arm("seed=1,verify.hang=1:0.05")
-        timed = Verifier(
-            verdict_cache=cache, deadline_s=0.01
-        ).verify(assemble(ACCEPTED))
-        assert timed.timed_out and len(cache) == 0
+        with VerificationService(workers=1, request_timeout_s=0.01) as svc:
+            with pytest.raises(DeadlineExceeded):
+                svc.verify(request)
+        # close() waited for the abandoned walk.
+        assert len(svc.cache) == 0
         faults.disarm()
         # The next submission pays a full walk and gets the real verdict.
-        fresh = Verifier(verdict_cache=cache).verify(assemble(ACCEPTED))
-        assert fresh.ok and len(cache) == 1
+        with VerificationService(cache=svc.cache, workers=1) as fresh:
+            verdict = fresh.verify(request)
+            assert verdict.ok and not verdict.cached
+        assert len(svc.cache) == 1

@@ -53,24 +53,44 @@ IMMEDIATES = (0, 1, 5, 31, 63, 65, -1, -5, 0x7FFF_FFFF, -0x8000_0000,
 # -- equivalence fingerprints --------------------------------------------------
 
 
-def verdict_fingerprint(program, ctx_size=64, cache=None):
-    """Everything a verifier consumer can observe, as comparable data."""
+def record_walk(program, ctx_size=64):
+    """One walk's result and its ``on_transfer`` stream."""
     events = []
     verifier = Verifier(
         ctx_size=ctx_size,
         on_transfer=lambda idx, label, scalar: events.append(
             (idx, label, scalar)
         ),
-        verdict_cache=cache,
     )
-    result = verifier.verify(program)
+    return verifier.verify(program), events
+
+
+def fingerprint(result, events):
     return (
         result.ok,
         result.insns_processed,
         result.error_messages(),
         [e.structural for e in result.errors],
-        events,
+        list(events),
     )
+
+
+def verdict_fingerprint(program, ctx_size=64):
+    """Everything a verifier consumer can observe, as comparable data."""
+    return fingerprint(*record_walk(program, ctx_size))
+
+
+def cached_fingerprint(program, cache, ctx_size=64):
+    """:func:`verdict_fingerprint` through ``cache``, as the service
+    does it: a miss walks and puts ``CachedVerdict.from_result`` of the
+    walk, a hit rebuilds the fingerprint from the stored entry."""
+    key = (program.canonical_hash(), ctx_size)
+    entry = cache.get(key)
+    if entry is not None:
+        return fingerprint(entry.result(), entry.events)
+    result, events = record_walk(program, ctx_size)
+    cache.put(key, CachedVerdict.from_result(result, tuple(events)))
+    return fingerprint(result, events)
 
 
 def run_fingerprint(program, ctx):
@@ -303,17 +323,17 @@ class TestVerdictCache:
     def test_hit_is_byte_identical_to_miss(self):
         cache = VerdictCache()
         a, b = self._twin("mov r0, 1\nadd r0, 2\nexit")
-        miss = verdict_fingerprint(a, cache=cache)
+        miss = cached_fingerprint(a, cache)
         assert cache.misses == 1 and cache.hits == 0
-        hit = verdict_fingerprint(b, cache=cache)
+        hit = cached_fingerprint(b, cache)
         assert cache.hits == 1
         assert hit == miss
 
     def test_rejecting_verdicts_cached_with_error_detail(self):
         cache = VerdictCache()
         a, b = self._twin("mov r0, r3\nexit")   # r3 uninitialized
-        miss = verdict_fingerprint(a, cache=cache)
-        hit = verdict_fingerprint(b, cache=cache)
+        miss = cached_fingerprint(a, cache)
+        hit = cached_fingerprint(b, cache)
         assert cache.hits == 1
         assert hit == miss
         assert not hit[0] and hit[2]            # rejected, message kept
@@ -321,18 +341,10 @@ class TestVerdictCache:
     def test_keyed_on_ctx_size(self):
         cache = VerdictCache()
         program = assemble("ldxw r0, [r1+60]\nexit")
-        ok = verdict_fingerprint(program, ctx_size=64, cache=cache)
-        small = verdict_fingerprint(program, ctx_size=8, cache=cache)
+        ok = cached_fingerprint(program, cache, ctx_size=64)
+        small = cached_fingerprint(program, cache, ctx_size=8)
         assert ok[0] and not small[0]
         assert cache.hits == 0 and cache.misses == 2
-
-    def test_collect_states_bypasses_cache(self):
-        cache = VerdictCache()
-        program = assemble("mov r0, 1\nexit")
-        verifier = Verifier(collect_states=True, verdict_cache=cache)
-        assert verifier.verify(program).ok
-        assert len(cache) == 0 and cache.lookups == 0
-        assert verifier.states_at          # states still collected
 
     def test_lru_eviction_and_refresh(self):
         cache = VerdictCache(max_entries=2)
@@ -345,33 +357,40 @@ class TestVerdictCache:
         assert ("b", 64) not in cache
         assert ("a", 64) in cache and ("c", 64) in cache
 
-    def test_require_plans_treats_planless_entry_as_miss(self):
-        cache = VerdictCache()
-        program = assemble("mov r0, 1\nexit")
-        verdict_fingerprint(program, cache=cache)   # stored without plans
-        key = (program.canonical_hash(), 64)
-        assert cache.get(key) is not None
-        assert cache.get(key, require_plans=True) is None
-        # Rejected entries carry no plans and need none.
-        rejected = assemble("mov r0, r3\nexit")
-        verdict_fingerprint(rejected, cache=cache)
-        assert cache.get(
-            (rejected.canonical_hash(), 64), require_plans=True
-        ) is not None
+    def test_full_cache_memory_stays_flat(self):
+        # Past max_entries a put evicts as much as it adds: no evicted
+        # key may stay reachable from the cache.
+        import tracemalloc
+
+        cache = VerdictCache(max_entries=8)
+        entry = CachedVerdict(True, 0, "", False, 1, ())
+        for i in range(8):
+            cache.put((f"{i:064x}", 64), entry)
+        puts = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(8, 8 + puts):
+                cache.put((f"{i:064x}", 64), entry)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 8 and cache.evictions == puts
+        assert grown / puts < 16
 
     def test_persistence_round_trip(self, tmp_path):
         cache = VerdictCache()
         accepted, _ = self._twin("mov r0, 1\nexit")
         rejected, _ = self._twin("mov r0, r3\nexit")
-        verdict_fingerprint(accepted, cache=cache)
-        verdict_fingerprint(rejected, cache=cache)
+        cached_fingerprint(accepted, cache)
+        cached_fingerprint(rejected, cache)
         store = tmp_path / "verdicts.json"
         cache.save(store)
         loaded = VerdictCache.load(store)
         assert loaded.to_payload() == cache.to_payload()
         # A loaded entry serves hits with identical observable output.
-        assert verdict_fingerprint(
-            Program(list(accepted.insns)), cache=loaded
+        assert cached_fingerprint(
+            Program(list(accepted.insns)), loaded
         ) == verdict_fingerprint(accepted)
         assert loaded.hits == 1
 
@@ -384,7 +403,7 @@ class TestVerdictCache:
         # it must name the file and the problem, not dump a traceback
         # from deep inside the decoder.
         cache = VerdictCache()
-        verdict_fingerprint(assemble("mov r0, 1\nexit"), cache=cache)
+        cached_fingerprint(assemble("mov r0, 1\nexit"), cache)
         store = tmp_path / "verdicts.json"
         cache.save(store)
         text = store.read_text()
@@ -421,6 +440,7 @@ class TestVerdictCache:
         for field, bogus in (
             ("format_version", STORE_FORMAT_VERSION + 1),
             ("canon_version", CANON_VERSION + 1),
+            ("engine", "0" * 64),
         ):
             store.write_text(json.dumps(dict(payload, **{field: bogus})))
             with pytest.raises(ValueError):
@@ -429,92 +449,3 @@ class TestVerdictCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             VerdictCache(max_entries=0)
-
-
-class TestOracleWithCache:
-    def _report_dict(self, report):
-        from dataclasses import asdict
-
-        return asdict(report)
-
-    def test_oracle_report_identical_with_and_without_cache(self):
-        from repro.fuzz.oracle import DifferentialOracle
-
-        cache = VerdictCache()
-        for i in range(20):
-            program = generate_program(program_seed(7, i), "mixed").program
-            plain = DifferentialOracle().check_program(
-                program, input_seed_base=i
-            )
-            twin = Program(list(program.insns))
-            cached = DifferentialOracle(verdict_cache=cache).check_program(
-                twin, input_seed_base=i
-            )
-            assert self._report_dict(cached) == self._report_dict(plain)
-        assert cache.misses == 20
-
-    def test_oracle_hit_skips_walk_but_matches(self):
-        from repro.fuzz.oracle import DifferentialOracle
-
-        cache = VerdictCache()
-        program = generate_program(program_seed(11, 3), "mixed").program
-        first = DifferentialOracle(verdict_cache=cache).check_program(
-            program, input_seed_base=5
-        )
-        twin = Program(list(program.insns))
-        second = DifferentialOracle(verdict_cache=cache).check_program(
-            twin, input_seed_base=5
-        )
-        assert cache.hits >= 1
-        assert self._report_dict(second) == self._report_dict(first)
-
-    def test_oracle_upgrades_planless_entry(self):
-        from repro.fuzz.oracle import DifferentialOracle
-
-        cache = VerdictCache()
-        program = assemble("mov r0, 1\nadd r0, 2\nexit")
-        verdict_fingerprint(program, cache=cache)   # plain verifier entry
-        key = (program.canonical_hash(), 64)
-        assert cache.get(key).plans is None
-        report = DifferentialOracle(verdict_cache=cache).check_program(
-            Program(list(program.insns))
-        )
-        assert report.verdict == "accepted"
-        assert cache.get(key).plans is not None
-
-
-class TestWorkerShards:
-    def test_drain_and_absorb_merge_like_obs_shards(self):
-        parent = VerdictCache()
-        worker = VerdictCache()
-        a, _ = (assemble("mov r0, 1\nexit"), None)
-        b, _ = (assemble("mov r0, 2\nexit"), None)
-        verdict_fingerprint(a, cache=worker)
-        shard1 = worker.drain_new()
-        verdict_fingerprint(b, cache=worker)
-        verdict_fingerprint(Program(list(a.insns)), cache=worker)   # hit
-        shard2 = worker.drain_new()
-        assert len(shard1["entries"]) == 1
-        assert len(shard2["entries"]) == 1          # only the new entry
-        assert shard2["hits"] == 1                  # deltas, not totals
-        parent.absorb(shard1)
-        parent.absorb(shard2)
-        assert len(parent) == 2
-        assert parent.hits == 1 and parent.misses == 2
-        # Keep-first: re-absorbing cannot duplicate or clobber.
-        parent.absorb(shard1)
-        assert len(parent) == 2
-
-    def test_absorb_upgrades_planless_entries(self):
-        parent = VerdictCache()
-        program = assemble("mov r0, 1\nexit")
-        verdict_fingerprint(program, cache=parent)   # plan-less
-        worker = VerdictCache()
-        from repro.fuzz.oracle import DifferentialOracle
-
-        DifferentialOracle(verdict_cache=worker).check_program(
-            Program(list(program.insns))
-        )
-        parent.absorb(worker.drain_new())
-        key = (program.canonical_hash(), 64)
-        assert parent.get(key).plans is not None

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bpf.canon import VerdictCache
 from repro.core.tnum import Tnum
 from repro.eval.precision import REJECT_COST_BITS, PrecisionReport
 from repro.fuzz import CampaignSpec, run_precision_campaign
@@ -168,37 +167,6 @@ class TestResume:
         assert final["programs_per_s"] == round(
             resumed.stats.executed / resumed.stats.elapsed_seconds, 1
         )
-
-
-class TestVerdictCacheIntegration:
-    def test_report_identical_with_cache_at_any_worker_count(self):
-        spec = small_spec(seed=11)
-        reference = run_precision_campaign(spec)
-        inline_cache = VerdictCache()
-        inline = run_precision_campaign(spec, verdict_cache=inline_cache)
-        mp_cache = VerdictCache()
-        mp = run_precision_campaign(
-            replace(spec, workers=2), verdict_cache=mp_cache
-        )
-        assert inline.report.to_json() == reference.report.to_json()
-        assert mp.report.to_json() == reference.report.to_json()
-        # Same entry *set* whatever the worker count (hit/miss counts are
-        # timing-like and may differ).
-        inline_keys = {
-            (e[0], e[1]) for e in inline_cache.to_payload()["entries"]
-        }
-        mp_keys = {(e[0], e[1]) for e in mp_cache.to_payload()["entries"]}
-        assert inline_keys == mp_keys
-        assert inline_cache.misses == spec.budget
-
-    def test_warm_cache_hits_and_keeps_report_identical(self):
-        spec = small_spec(seed=11)
-        reference = run_precision_campaign(spec)
-        cache = VerdictCache()
-        run_precision_campaign(spec, verdict_cache=cache)
-        warm = run_precision_campaign(spec, verdict_cache=cache)
-        assert warm.report.to_json() == reference.report.to_json()
-        assert cache.hits > 0
 
 
 class TestSoundnessStillChecked:

@@ -29,7 +29,6 @@ import pytest
 
 from repro.bpf import Program, assemble
 from repro.bpf import isa
-from repro.bpf.canon import VerdictCache
 from repro.core.tnum import Tnum
 from repro.domains.product import ScalarValue
 from repro.fuzz import DifferentialOracle, generate_program
@@ -167,14 +166,6 @@ class TestCleanOracle:
             "generator.mixed.max_violations_0",
             check_all(make_oracle(max_violations=0), generated("mixed")),
         )
-
-    def test_verdict_cache_hits_report_the_same(self):
-        # A miss stores plans, a hit replays from them: both must render
-        # exactly what the uncached oracle does.
-        oracle = make_oracle(verdict_cache=VerdictCache())
-        programs = generated("mixed")
-        assert_golden("generator.mixed", check_all(oracle, programs))
-        assert_golden("generator.mixed", check_all(oracle, programs))
 
 
 class TestInjectedBugs:

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from repro import faults
-from repro.bpf.canon import VerdictCache
 
 
 @pytest.fixture(autouse=True)
@@ -100,7 +99,7 @@ class TestArming:
         assert faults.arg("verify.hang") == 0.05   # site default
 
     def test_worker_state_round_trip(self):
-        faults.arm("seed=11,campaign.shard.corrupt=0.5")
+        faults.arm("seed=11,campaign.checkpoint.torn=0.5")
         state = faults.worker_init_state()
         faults.disarm()
         faults.init_worker(state)
@@ -129,13 +128,3 @@ class TestArming:
         )
         assert out.returncode == 0, out.stderr
         assert "armed" in out.stdout
-
-
-class TestCorruptPayload:
-    def test_absorb_rejects_whole_shard(self):
-        cache = VerdictCache()
-        shard = faults.corrupt_payload({"hits": 3})
-        with pytest.raises((ValueError, KeyError, TypeError)):
-            cache.absorb(shard)
-        # All-or-nothing: nothing leaked into the cache.
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
