@@ -46,6 +46,7 @@ from repro import obs as _obs
 from repro.bpf.canon import CachedVerdict, VerdictCache
 from repro.bpf.verifier import Verifier
 
+from .ingest import MAX_CTX_SIZE
 from .models import Verdict, VerifyRequest, precision_summary, with_diagnostics
 
 __all__ = [
@@ -113,6 +114,11 @@ class VerificationService:
             raise ValueError("max_queue must be >= 1")
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive")
+        if not 0 <= default_ctx_size <= MAX_CTX_SIZE:
+            raise ValueError(
+                f"default_ctx_size {default_ctx_size} out of range "
+                f"[0, {MAX_CTX_SIZE}]"
+            )
         if cache is None:
             # ``load`` raises a clear ValueError on a corrupt/truncated
             # store (see VerdictCache.load) — the caller surfaces it as

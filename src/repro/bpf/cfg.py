@@ -119,24 +119,6 @@ class ControlFlowGraph:
             raise CFGError(f"unreachable blocks: {unreachable}")
         self._rpo = post[::-1]
 
-    def check_acyclic(self) -> None:
-        """Structural check, kept as API.
-
-        Note: this now runs the full :meth:`validate` (one fused DFS),
-        so it also rejects unreachable blocks — callers get the whole
-        structural contract, not just the back-edge half.
-        """
-        self.validate()
-
-    def check_reachable(self) -> None:
-        """Structural check, kept as API.
-
-        Note: this now runs the full :meth:`validate` (one fused DFS),
-        so it also rejects back-edges — callers get the whole structural
-        contract, not just the reachability half.
-        """
-        self.validate()
-
 
 #: Instruction roles for CFG construction (internal).
 _STRAIGHT, _COND, _JA, _EXIT = 0, 1, 2, 3

@@ -1,23 +1,22 @@
-"""Decode-once compiled form of a BPF program.
+"""Decode-once compiled form of a BPF program: the interpreter's engine.
 
-The step-decoding interpreter pays for every instruction on every step:
-``index_at_slot`` to find the instruction, ``cls()`` / ``BPF_OP()`` /
-``uses_imm()`` to classify it, immediate masking, and jump-target slot
-arithmetic.  None of that depends on machine state, so this module hoists
-all of it to a single compile pass: each instruction becomes a *step
-closure* ``fn(machine, regs) -> next_index`` with its operands resolved,
-its immediate pre-masked, and its jump target translated from slot space
-to instruction-index space.  The interpreter's hot loop then reduces to
+Finding an instruction by slot (``index_at_slot``), classifying it
+(``cls()`` / ``BPF_OP()`` / ``uses_imm()``), masking its immediate and
+computing its jump-target slot do not depend on machine state, so this
+module does all of it in a single compile pass: each instruction becomes
+a *step closure* ``fn(machine, regs) -> next_index`` with its operands
+resolved, its immediate pre-masked, and its jump target translated from
+slot space to instruction-index space.  The interpreter's hot loop
+(:meth:`repro.bpf.interpreter.Machine.run`) then reduces to
 ``idx = code[idx](machine, regs)``.
 
-Semantics are byte-for-byte those of the reference step decoder
-(:meth:`repro.bpf.interpreter.Machine.run_reference`): identical results,
-identical step counts, and identical error types/messages — including
-*lazy* errors: an unsupported opcode on a never-executed path compiles to
-a closure that raises only when reached, exactly like the decoder.  The
-differential test suite (``tests/bpf/test_compiled.py``) holds the two
-executions equal over every opcode × width and over generator-produced
-programs.
+Errors are *lazy*: an unsupported opcode on a never-executed path
+compiles to a closure that raises only when reached.  Results, step
+counts, ``on_step`` streams, final memory and error messages are pinned
+by the frozen golden in ``tests/bpf/test_compiled.py`` over every opcode
+× width, every error path, generator programs and campaign mutants; its
+digests were recorded while a decode-every-step reference interpreter
+agreed with this engine on every case.
 
 Exit closures return :data:`EXIT_INDEX` (-1); the run loop treats any
 negative next-index as program exit.

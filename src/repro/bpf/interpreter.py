@@ -12,14 +12,11 @@ and the context placed at fixed, well-separated bases.  That keeps
 pointer arithmetic honest (r10-8 really is an address) while letting the
 machine detect out-of-bounds accesses.
 
-Execution has two paths with identical semantics:
-
-* :meth:`Machine.run` — the default: executes the program's decode-once
-  compiled form (:mod:`repro.bpf.compiled`), whose hot loop is a single
-  closure call per step;
-* :meth:`Machine.run_reference` — the original step decoder, kept as the
-  behavioral reference the compiled path is differentially tested
-  against (``tests/bpf/test_compiled.py``).
+:meth:`Machine.run` executes the program's decode-once compiled form
+(:mod:`repro.bpf.compiled`), one closure call per step.  Its outputs are
+pinned by a frozen golden (``tests/bpf/test_compiled.py``), recorded
+while a decode-every-step reference interpreter still ran beside it and
+agreed on every case.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from . import isa
-from .insn import Instruction
 from .program import Program, ProgramError
 
 __all__ = ["Machine", "ExecutionError", "ExecutionResult", "STACK_BASE", "CTX_BASE"]
@@ -55,17 +51,10 @@ class ExecutionError(RuntimeError):
 
 @dataclass
 class ExecutionResult:
-    """Outcome of a concrete run.
-
-    ``trace`` is ``None`` unless the machine was built with
-    ``record_trace=True`` — the replay loop runs millions of steps per
-    campaign, so the common no-trace path must not allocate a list per
-    run.
-    """
+    """Outcome of a concrete run: r0 at ``exit`` and the steps taken."""
 
     return_value: int
     steps: int
-    trace: Optional[List[int]] = None
 
 
 def _s64(x: int) -> int:
@@ -85,13 +74,11 @@ class Machine:
         ctx: bytes = b"",
         helpers: Optional[Dict[int, Callable[..., int]]] = None,
         step_limit: int = 1_000_000,
-        record_trace: bool = False,
     ) -> None:
         self.ctx = bytearray(ctx)
         self.stack = bytearray(isa.STACK_SIZE)
         self.helpers = helpers or {}
         self.step_limit = step_limit
-        self.record_trace = record_trace
         self.regs = [0] * isa.MAX_REG
 
     def reset(self, ctx: bytes) -> None:
@@ -104,25 +91,6 @@ class Machine:
         """
         self.ctx = bytearray(ctx)
         self.stack[:] = _ZERO_STACK
-
-    # -- memory ------------------------------------------------------------
-
-    def _load(self, pc: int, addr: int, size: int) -> int:
-        region, off = self._resolve(pc, addr, size)
-        return int.from_bytes(region[off : off + size], "little")
-
-    def _store(self, pc: int, addr: int, size: int, value: int) -> None:
-        region, off = self._resolve(pc, addr, size)
-        region[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
-
-    def _resolve(self, pc: int, addr: int, size: int):
-        if STACK_BASE <= addr and addr + size <= STACK_BASE + isa.STACK_SIZE:
-            return self.stack, addr - STACK_BASE
-        if CTX_BASE <= addr and addr + size <= CTX_BASE + len(self.ctx):
-            return self.ctx, addr - CTX_BASE
-        raise ExecutionError(pc, f"out-of-bounds access at {addr:#x} size {size}")
 
     # -- execution ----------------------------------------------------------
 
@@ -137,10 +105,9 @@ class Machine:
 
         ``on_step`` is invoked with ``(insn_index, regs)`` before each
         instruction executes — the observation point differential oracles
-        compare against the verifier's per-instruction entry states.
-
-        Executes the program's decode-once compiled form; semantics are
-        identical to :meth:`run_reference` (differentially tested).
+        compare against the verifier's per-instruction entry states, and
+        the one way to trace a run.  Without it the run takes a hot loop
+        that makes one closure call per step and nothing else.
         """
         compiled = program.compiled()
         code = compiled.steps
@@ -153,9 +120,8 @@ class Machine:
         limit = self.step_limit
         steps = 0
         idx = 0
-        trace: Optional[List[int]] = [] if self.record_trace else None
 
-        if on_step is None and trace is None:
+        if on_step is None:
             # The replay hot loop: one closure call per step.
             while True:
                 if steps >= limit:
@@ -182,190 +148,8 @@ class Machine:
                     f"slot {compiled.total_slots} is not an "
                     f"instruction boundary"
                 )
-            if trace is not None:
-                trace.append(idx)
-            if on_step is not None:
-                on_step(idx, regs)
+            on_step(idx, regs)
             nxt = code[idx](self, regs)
             if nxt < 0:
-                return ExecutionResult(regs[0], steps, trace)
+                return ExecutionResult(regs[0], steps)
             idx = nxt
-
-    def run_reference(
-        self,
-        program: Program,
-        r1: int = CTX_BASE,
-        on_step: Optional[Callable[[int, List[int]], None]] = None,
-    ) -> ExecutionResult:
-        """The original decode-every-step interpreter.
-
-        Kept as the behavioral reference for the compiled path: both must
-        produce identical results, register files, step counts, and
-        errors on every program.
-        """
-        self.regs = [0] * isa.MAX_REG
-        self.regs[1] = r1
-        self.regs[isa.FP_REG] = STACK_BASE + isa.STACK_SIZE
-        trace: Optional[List[int]] = [] if self.record_trace else None
-
-        pc_slot = 0
-        steps = 0
-        while True:
-            if steps >= self.step_limit:
-                raise ExecutionError(pc_slot, "step limit exceeded")
-            steps += 1
-            idx = program.index_at_slot(pc_slot)
-            insn = program.insns[idx]
-            if trace is not None:
-                trace.append(idx)
-            if on_step is not None:
-                on_step(idx, self.regs)
-
-            if insn.is_exit():
-                return ExecutionResult(self.regs[0], steps, trace)
-
-            next_slot = pc_slot + insn.slots()
-            pc_slot = self._step(program, idx, insn, next_slot)
-
-    def _step(
-        self, program: Program, idx: int, insn: Instruction, next_slot: int
-    ) -> int:
-        cls = insn.cls()
-
-        if insn.is_lddw():
-            self.regs[insn.dst] = insn.imm & U64
-            return next_slot
-
-        if cls in (isa.CLS_ALU, isa.CLS_ALU64):
-            self._alu(program, idx, insn, is64=(cls == isa.CLS_ALU64))
-            return next_slot
-
-        if cls in (isa.CLS_JMP, isa.CLS_JMP32):
-            return self._jump(program, idx, insn, next_slot)
-
-        # Only the error paths below need the slot address; computing it
-        # on every step was pure overhead.
-        if cls == isa.CLS_LDX:
-            addr = (self.regs[insn.src] + insn.off) & U64
-            self.regs[insn.dst] = self._load(
-                program.slot_of(idx), addr, insn.size_bytes()
-            )
-            return next_slot
-
-        if cls == isa.CLS_STX:
-            addr = (self.regs[insn.dst] + insn.off) & U64
-            self._store(
-                program.slot_of(idx), addr, insn.size_bytes(),
-                self.regs[insn.src],
-            )
-            return next_slot
-
-        if cls == isa.CLS_ST:
-            addr = (self.regs[insn.dst] + insn.off) & U64
-            self._store(
-                program.slot_of(idx), addr, insn.size_bytes(),
-                insn.imm & U64,
-            )
-            return next_slot
-
-        raise ExecutionError(
-            program.slot_of(idx), f"unsupported opcode {insn.opcode:#04x}"
-        )
-
-    # -- ALU ------------------------------------------------------------------
-
-    def _alu(
-        self, program: Program, idx: int, insn: Instruction, is64: bool
-    ) -> None:
-        op = isa.BPF_OP(insn.opcode)
-        dst = self.regs[insn.dst]
-        src = insn.imm & U64 if insn.uses_imm() else self.regs[insn.src]
-        if not is64:
-            dst &= U32
-            src &= U32
-        width_mask = U64 if is64 else U32
-        shift_mask = 63 if is64 else 31
-
-        if op == isa.ALU_MOV:
-            result = src
-        elif op == isa.ALU_ADD:
-            result = dst + src
-        elif op == isa.ALU_SUB:
-            result = dst - src
-        elif op == isa.ALU_MUL:
-            result = dst * src
-        elif op == isa.ALU_DIV:
-            result = 0 if src == 0 else dst // src
-        elif op == isa.ALU_MOD:
-            result = dst if src == 0 else dst % src
-        elif op == isa.ALU_AND:
-            result = dst & src
-        elif op == isa.ALU_OR:
-            result = dst | src
-        elif op == isa.ALU_XOR:
-            result = dst ^ src
-        elif op == isa.ALU_LSH:
-            result = dst << (src & shift_mask)
-        elif op == isa.ALU_RSH:
-            result = dst >> (src & shift_mask)
-        elif op == isa.ALU_ARSH:
-            signed = _s64(dst) if is64 else _s32(dst)
-            result = signed >> (src & shift_mask)
-        elif op == isa.ALU_NEG:
-            result = -dst
-        else:
-            raise ExecutionError(
-                program.slot_of(idx), f"unsupported ALU op {op:#04x}"
-            )
-        # 32-bit ops zero-extend their result into the full register.
-        self.regs[insn.dst] = result & width_mask
-
-    # -- jumps ------------------------------------------------------------------
-
-    def _jump(
-        self, program: Program, idx: int, insn: Instruction, next_slot: int
-    ) -> int:
-        op = isa.BPF_OP(insn.opcode)
-
-        if op == isa.JMP_JA:
-            return program.jump_target_slot(idx)
-
-        if op == isa.JMP_CALL:
-            helper = self.helpers.get(insn.imm)
-            if helper is None:
-                raise ExecutionError(
-                    program.slot_of(idx), f"unknown helper {insn.imm}"
-                )
-            self.regs[0] = helper(*self.regs[1:6]) & U64
-            # r1-r5 are clobbered by calls, per the BPF ABI.
-            for r in range(1, 6):
-                self.regs[r] = 0
-            return next_slot
-
-        is32 = insn.cls() == isa.CLS_JMP32
-        dst = self.regs[insn.dst]
-        src = insn.imm & U64 if insn.uses_imm() else self.regs[insn.src]
-        if is32:
-            dst &= U32
-            src &= U32
-        sdst = _s32(dst) if is32 else _s64(dst)
-        ssrc = _s32(src) if is32 else _s64(src)
-
-        taken = {
-            isa.JMP_JEQ: dst == src,
-            isa.JMP_JNE: dst != src,
-            isa.JMP_JGT: dst > src,
-            isa.JMP_JGE: dst >= src,
-            isa.JMP_JLT: dst < src,
-            isa.JMP_JLE: dst <= src,
-            isa.JMP_JSET: bool(dst & src),
-            isa.JMP_JSGT: sdst > ssrc,
-            isa.JMP_JSGE: sdst >= ssrc,
-            isa.JMP_JSLT: sdst < ssrc,
-            isa.JMP_JSLE: sdst <= ssrc,
-        }.get(op)
-        if taken is None:
-            raise ExecutionError(
-                program.slot_of(idx), f"unsupported jump op {op:#04x}"
-            )
-        return program.jump_target_slot(idx) if taken else next_slot

@@ -97,6 +97,23 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                             "always kept)")
 
 
+def _add_program_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that shape a campaign's programs (fuzz, campaign,
+    campaign-diff, coordinate).  campaign-diff's candidate-only check
+    compares against these defaults."""
+    # The profiles stay a literal: importing repro.fuzz for them would
+    # load the fuzz package into every command's start-up, `serve` too.
+    parser.add_argument("--profile", default="mixed",
+                        choices=("mixed", "alu", "memory", "branchy"),
+                        help="opcode-mix profile (default mixed)")
+    parser.add_argument("--max-insns", type=int, default=32,
+                        help="max instructions per program (default 32)")
+    parser.add_argument("--inputs", type=int, default=8,
+                        help="concrete inputs per program (default 8)")
+    parser.add_argument("--ctx-size", type=int, default=64,
+                        help="context size in bytes (default 64)")
+
+
 def _add_faults_flag(parser: argparse.ArgumentParser):
     """The shared ``--faults`` chaos switch; returns its group."""
     group = parser.add_argument_group("resilience")
@@ -194,14 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1; results do "
                              "not depend on worker count)")
-    p_fuzz.add_argument("--profile", default="mixed",
-                        choices=("mixed", "alu", "memory", "branchy"),
-                        help="opcode-mix profile (default mixed)")
-    p_fuzz.add_argument("--max-insns", type=int, default=32,
-                        help="max instructions per program (default 32)")
-    p_fuzz.add_argument("--inputs", type=int, default=8,
-                        help="concrete inputs per program (default 8)")
-    p_fuzz.add_argument("--ctx-size", type=int, default=64)
+    _add_program_flags(p_fuzz)
     p_fuzz.add_argument("--corpus", metavar="PATH",
                         help="write failures/seeds to a JSON corpus file")
     p_fuzz.add_argument("--no-shrink", action="store_true",
@@ -224,14 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1; results do "
                              "not depend on worker count)")
-    p_camp.add_argument("--profile", default="mixed",
-                        choices=("mixed", "alu", "memory", "branchy"),
-                        help="opcode-mix profile (default mixed)")
-    p_camp.add_argument("--max-insns", type=int, default=32,
-                        help="max instructions per program (default 32)")
-    p_camp.add_argument("--inputs", type=int, default=8,
-                        help="concrete inputs per program (default 8)")
-    p_camp.add_argument("--ctx-size", type=int, default=64)
+    _add_program_flags(p_camp)
     p_camp.add_argument("--mutate-fraction", type=float, default=0.5,
                         help="fraction of post-round-1 programs mutated "
                              "from pool seeds (default 0.5)")
@@ -274,11 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--workers", type=int, default=1,
                         help="worker processes for the candidate run "
                              "(reports do not depend on worker count)")
-    p_diff.add_argument("--profile", default="mixed",
-                        choices=("mixed", "alu", "memory", "branchy"))
-    p_diff.add_argument("--max-insns", type=int, default=32)
-    p_diff.add_argument("--inputs", type=int, default=8)
-    p_diff.add_argument("--ctx-size", type=int, default=64)
+    _add_program_flags(p_diff)
     p_diff.add_argument("--mutate-fraction", type=float, default=0.0,
                         help="mutation feedback for the candidate run "
                              "(default 0: with mutation, the round-2+ "
@@ -352,11 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "byte-identical to a single-machine "
                               "`repro campaign` with the same spec "
                               "(default 0)")
-    p_coord.add_argument("--profile", default="mixed",
-                         choices=("mixed", "alu", "memory", "branchy"))
-    p_coord.add_argument("--max-insns", type=int, default=32)
-    p_coord.add_argument("--inputs", type=int, default=8)
-    p_coord.add_argument("--ctx-size", type=int, default=64)
+    _add_program_flags(p_coord)
     p_coord.add_argument("--mutate-fraction", type=float, default=0.5)
     p_coord.add_argument("--no-shrink", action="store_true",
                          help="skip counterexample minimization")
@@ -486,6 +481,8 @@ def _cmd_verify(args) -> int:
     from repro.api import Verdict
     from repro.bpf.verifier import Verifier
 
+    if args.ctx_size < 0:
+        return _usage_error("--ctx-size must be >= 0")
     program = _load_program(args.file, wire=args.wire)
     if program is None:
         return 2
@@ -510,6 +507,8 @@ def _cmd_verify(args) -> int:
 def _cmd_run(args) -> int:
     from repro.bpf import ExecutionError, Machine, ProgramError
 
+    if args.ctx_size < 0:
+        return _usage_error("--ctx-size must be >= 0")
     program = _load_program(args.file)
     if program is None:
         return 2
@@ -523,10 +522,11 @@ def _cmd_run(args) -> int:
         return _usage_error(
             f"--ctx: {len(ctx)} bytes exceed --ctx-size {args.ctx_size}"
         )
-    machine = Machine(ctx=ctx.ljust(args.ctx_size, b"\x00"),
-                      record_trace=args.trace)
+    machine = Machine(ctx=ctx.ljust(args.ctx_size, b"\x00"))
+    trace: List[int] = []
+    on_step = (lambda idx, regs: trace.append(idx)) if args.trace else None
     try:
-        outcome = machine.run(program)
+        outcome = machine.run(program, on_step=on_step)
     except (ExecutionError, ProgramError) as exc:
         # A faulting run fails like a rejection does.
         print(f"error: {args.file}: {exc}", file=sys.stderr)
@@ -534,13 +534,15 @@ def _cmd_run(args) -> int:
     print(f"r0 = {outcome.return_value} ({outcome.return_value:#x}) "
           f"in {outcome.steps} steps")
     if args.trace:
-        print("trace:", " ".join(map(str, outcome.trace)))
+        print("trace:", " ".join(map(str, trace)))
     return 0
 
 
 def _cmd_analyze(args) -> int:
     from repro.bpf.verifier import Verifier
 
+    if args.ctx_size < 0:
+        return _usage_error("--ctx-size must be >= 0")
     program = _load_program(args.file)
     if program is None:
         return 2

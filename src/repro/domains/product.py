@@ -132,11 +132,6 @@ class ScalarValue:
         iv = Interval(lo, hi, width)
         return cls.make(iv.to_tnum(), iv)
 
-    # -- reduction (kernel reg_bounds_sync) ---------------------------------
-
-    def _reduce(self) -> "ScalarValue":
-        return _reduce_pair(self.tnum, self.interval)
-
     # -- properties ---------------------------------------------------------
 
     @property

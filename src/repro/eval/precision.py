@@ -240,23 +240,11 @@ class OperatorStats:
         return self.tightness_sum + REJECT_COST_BITS * self.rejected_clean
 
     @property
-    def mean_tightness(self) -> float:
-        if not self.tightness_count:
-            return 0.0
-        return self.tightness_sum / self.tightness_count
-
-    @property
     def mean_gamma_bits(self) -> float:
         total = sum(self.gamma_hist.values())
         if not total:
             return 0.0
         return sum(b * n for b, n in self.gamma_hist.items()) / total
-
-    @property
-    def rejected_clean_rate(self) -> float:
-        if not self.rejections:
-            return 0.0
-        return self.rejected_clean / self.rejections
 
     def merge(self, other: "OperatorStats") -> None:
         self.occurrences += other.occurrences

@@ -85,6 +85,10 @@ class CampaignConfig:
             raise ValueError("budget must be >= 1")
         if self.inputs_per_program < 1:
             raise ValueError("inputs_per_program must be >= 1")
+        if self.ctx_size < 0:
+            raise ValueError("ctx_size must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass

@@ -65,10 +65,6 @@ INTERESTING_IMM64 = [
     0xAAAA_AAAA_AAAA_AAAA, 0x5555_5555_5555_5555, 0x0123_4567_89AB_CDEF,
 ]
 
-# Backward-compatible private aliases (pre-campaign name).
-_INTERESTING_IMMS = INTERESTING_IMMS
-_INTERESTING_IMM64 = INTERESTING_IMM64
-
 #: ALU ops applied between scalars (NEG is emitted separately; MOV has
 #: its own categories).
 _SCALAR_OPS = [
@@ -259,7 +255,7 @@ class ProgramGenerator:
     @staticmethod
     def _imm(rng: random.Random) -> int:
         if rng.random() < 0.6:
-            return rng.choice(_INTERESTING_IMMS)
+            return rng.choice(INTERESTING_IMMS)
         return rng.randint(-(1 << 31), (1 << 31) - 1)
 
     def _scalar_reg(
@@ -301,7 +297,7 @@ class ProgramGenerator:
             return 0
         dst = self._writable_reg(rng, state)
         imm = (
-            rng.choice(_INTERESTING_IMM64)
+            rng.choice(INTERESTING_IMM64)
             if rng.random() < 0.6
             else rng.randint(0, U64)
         )

@@ -64,9 +64,6 @@ class CNFBuilder:
 
     # -- gates (each returns the output literal) -------------------------------------
 
-    def gate_not(self, a: int) -> int:
-        return -a
-
     def gate_and(self, a: int, b: int) -> int:
         if self.is_const(a):
             return b if self.const_value(a) else self.false_lit

@@ -107,20 +107,6 @@ def _sym_tnum_xor(bb: BitVecBuilder, p: SymTnum, q: SymTnum) -> SymTnum:
     return SymTnum(bb.and_(v, bb.not_(mu)), mu)
 
 
-def _sym_shift_tnum(shifter) -> Callable:
-    """Constant-shift operators, symbolically joined over all counts.
-
-    BPF shift instructions with symbolic counts are joined elsewhere; for
-    verification we quantify over a fixed shift amount per query, so these
-    builders take the count as a Python int via closure at query time.
-    """
-
-    def build(bb: BitVecBuilder, p: SymTnum, q: SymTnum, amount: int) -> SymTnum:
-        return SymTnum(shifter(bb, p.v, amount), shifter(bb, p.m, amount))
-
-    return build
-
-
 def _sym_tnum_lshift(bb: BitVecBuilder, p: SymTnum, amount: int) -> SymTnum:
     return SymTnum(bb.shl_const(p.v, amount), bb.shl_const(p.m, amount))
 

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.api import VerificationService, VerifyRequest
+from repro.api import MAX_CTX_SIZE, VerificationService, VerifyRequest
 from repro.bpf import assemble
 from repro.fuzz import generate_program
 from repro.fuzz.driver import program_seed
@@ -65,6 +65,12 @@ class TestVerify:
         other = request_for(ACCEPTED, ctx_size=32)
         assert not service.verify(other).cached
         assert service.stats()["verifications"] == 2
+
+    @pytest.mark.parametrize("ctx_size", [-1, MAX_CTX_SIZE + 1])
+    def test_bad_default_ctx_size_rejected(self, ctx_size):
+        # The range POST /verify enforces on a request's ctx_size.
+        with pytest.raises(ValueError, match="out of range"):
+            VerificationService(default_ctx_size=ctx_size)
 
     def test_rejects_are_cached_too(self, service):
         service.verify(request_for(REJECTED))

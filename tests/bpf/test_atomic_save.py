@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.bpf.canon import CachedVerdict, VerdictCache
 from repro.bpf.verifier import Verifier
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
+
+#: This checkout's sources, for child interpreters.
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -78,9 +82,8 @@ class TestAtomicSave:
             env=dict(
                 os.environ,
                 REPRO_FAULTS="seed=1,cache.save.slow=1:30",
-                PYTHONPATH="src",
+                PYTHONPATH=str(SRC),
             ),
-            cwd="/root/repo",
             stdout=subprocess.PIPE,
             text=True,
         )

@@ -73,38 +73,25 @@ def check_containment(text: str, rng: random.Random, runs: int = 5) -> None:
     result = verifier.verify(program)
     assert result.ok, result.error_messages()
 
+    def check(idx, regs):
+        # Every *scalar* abstract register must contain the concrete
+        # register value at this instruction's entry.
+        state = verifier.states_at.get(idx)
+        assert state is not None, f"no abstract state at insn {idx}"
+        for reg in range(isa.MAX_REG):
+            abstate = state.regs[reg]
+            if abstate.kind == RegKind.SCALAR:
+                concrete = regs[reg]
+                assert abstate.scalar.contains(concrete), (
+                    f"insn {idx} r{reg}: concrete {concrete:#x} not in "
+                    f"{abstate.scalar}"
+                )
+
     for _ in range(runs):
         ctx = bytes(rng.randrange(256) for _ in range(64))
-        machine = Machine(ctx=ctx, record_trace=True)
-        machine.run(program, r1=CTX_BASE)
-
-        # Replay: execute again and capture register state per insn.
-        machine2 = Machine(ctx=bytes(ctx))
-        machine2.regs = [0] * isa.MAX_REG
-        machine2.regs[1] = CTX_BASE
-        machine2.regs[isa.FP_REG] = 0x1000_0000 + isa.STACK_SIZE
-        pc_slot = 0
-        steps = 0
-        while steps < 10_000:
-            steps += 1
-            idx = program.index_at_slot(pc_slot)
-            insn = program.insns[idx]
-            # Check containment of every *scalar* abstract register against
-            # the concrete register value at this instruction entry.
-            state = verifier.states_at.get(idx)
-            assert state is not None, f"no abstract state at insn {idx}"
-            for reg in range(isa.MAX_REG):
-                abstate = state.regs[reg]
-                if abstate.kind == RegKind.SCALAR:
-                    concrete = machine2.regs[reg]
-                    assert abstate.scalar.contains(concrete), (
-                        f"insn {idx} r{reg}: concrete {concrete:#x} not in "
-                        f"{abstate.scalar}"
-                    )
-            if insn.is_exit():
-                break
-            next_slot = pc_slot + insn.slots()
-            pc_slot = machine2._step(program, idx, insn, next_slot)
+        Machine(ctx=ctx, step_limit=10_000).run(
+            program, r1=CTX_BASE, on_step=check
+        )
 
 
 def random_memory_program(rng: random.Random) -> str:

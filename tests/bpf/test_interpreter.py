@@ -209,9 +209,10 @@ class TestCallsAndLimits:
             Machine(step_limit=10).run(assemble(prog))
 
     def test_trace_recording(self):
-        m = Machine(record_trace=True)
-        result = m.run(assemble("mov r0, 0\nexit"))
-        assert result.trace == [0, 1]
+        trace = []
+        Machine().run(assemble("mov r0, 0\nexit"),
+                      on_step=lambda idx, regs: trace.append(idx))
+        assert trace == [0, 1]
 
     def test_r1_is_ctx_pointer_at_entry(self):
         assert run("mov r0, r1\nexit").return_value == CTX_BASE

@@ -29,6 +29,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             CampaignSpec(mutate_fraction=1.5)
 
+    def test_negative_ctx_size_rejected(self):
+        with pytest.raises(ValueError, match="ctx_size must be >= 0"):
+            CampaignSpec(ctx_size=-1)
+
+    def test_bad_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            CampaignSpec(workers=0)
+
 
 class TestCrossWorkerDeterminism:
     def test_merged_report_byte_identical_across_1_2_4_workers(self):

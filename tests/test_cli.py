@@ -21,6 +21,11 @@ UNSAFE = """
     exit
 """
 
+#: A precision report, for campaign-diff's baseline argument.
+BASELINE = str(
+    Path(__file__).parent / "fuzz" / "golden" / "precision-seed42-b40.json"
+)
+
 #: Accepted by nothing, but assembles: the store faults when run.
 OOB_STORE = """
     mov r1, 5
@@ -86,7 +91,7 @@ class TestRun:
 
     def test_trace(self, safe_file, capsys):
         assert main(["run", safe_file, "--trace"]) == 0
-        assert "trace:" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("\ntrace: 0 1 2 3 4\n")
 
     def test_faulting_run_fails_like_a_rejection(self, tmp_path, capsys):
         path = tmp_path / "oob.s"
@@ -526,9 +531,24 @@ class TestResilienceFlags:
         (["eval", "table1", "--width", "4"], "--width must be >= 5"),
         (["eval", "fig4", "--width", "0"], "--width must be >= 1"),
         (["eval", "fig5", "--pairs", "0"], "--pairs must be >= 1"),
+        (["fuzz", "--budget", "5", "--ctx-size", "-4"],
+         "ctx_size must be >= 0"),
+        (["campaign", "--budget", "5", "--ctx-size", "-1"],
+         "ctx_size must be >= 0"),
+        (["campaign-diff", BASELINE, "--ctx-size", "-2"],
+         "ctx_size must be >= 0"),
+        (["verify", "PROGRAM", "--ctx-size", "-3"], "--ctx-size must be >= 0"),
+        (["run", "PROGRAM", "--ctx-size", "-3"], "--ctx-size must be >= 0"),
+        (["analyze", "PROGRAM", "--ctx-size", "-3"],
+         "--ctx-size must be >= 0"),
+        (["fuzz", "--budget", "2", "--workers", "0"],
+         "workers must be >= 1"),
+        (["campaign", "--budget", "2", "--workers", "-3"],
+         "workers must be >= 1"),
     ])
     def test_run_that_checks_nothing_is_usage_error(
-            self, command, message, capsys):
+            self, command, message, safe_file, capsys):
+        command = [safe_file if arg == "PROGRAM" else arg for arg in command]
         assert main(command) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -564,6 +584,38 @@ class TestResilienceFlags:
             proc.send_signal(signal.SIGTERM)
             proc.communicate(timeout=30)
         assert proc.returncode == 0
+
+
+class TestProgramFlags:
+    """fuzz, campaign, campaign-diff and coordinate share one declaration
+    of the flags that shape a campaign's programs."""
+
+    @staticmethod
+    def _subparser(command):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return commands.choices[command]
+
+    @pytest.mark.parametrize(
+        "command", ["fuzz", "campaign", "campaign-diff", "coordinate"]
+    )
+    def test_every_generator_profile_is_reachable(self, command):
+        from repro.fuzz import PROFILES
+
+        parser = self._subparser(command)
+        (profile,) = [a for a in parser._actions if a.dest == "profile"]
+        assert set(profile.choices) == set(PROFILES)
+        # campaign-diff's candidate-only flag check compares with these.
+        assert [parser.get_default(name) for name in
+                ("profile", "max_insns", "inputs", "ctx_size")] == [
+            "mixed", 32, 8, 64,
+        ]
 
 
 class TestDistCli:

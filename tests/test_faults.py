@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,9 +121,8 @@ class TestArming:
             env=dict(
                 os.environ,
                 REPRO_FAULTS="seed=77,campaign.worker.crash=0.1",
-                PYTHONPATH="src",
+                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
             ),
-            cwd="/root/repo",
             capture_output=True,
             text=True,
         )
