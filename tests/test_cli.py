@@ -1,12 +1,14 @@
 """CLI integration tests (python -m repro)."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.fuzz import PROFILES
 
 SAFE = """
     mov r0, 0
@@ -592,10 +594,6 @@ class TestProgramFlags:
 
     @staticmethod
     def _subparser(command):
-        import argparse
-
-        from repro.cli import build_parser
-
         (commands,) = [
             action for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
@@ -606,8 +604,6 @@ class TestProgramFlags:
         "command", ["fuzz", "campaign", "campaign-diff", "coordinate"]
     )
     def test_every_generator_profile_is_reachable(self, command):
-        from repro.fuzz import PROFILES
-
         parser = self._subparser(command)
         (profile,) = [a for a in parser._actions if a.dest == "profile"]
         assert set(profile.choices) == set(PROFILES)
@@ -637,8 +633,6 @@ class TestDistCli:
         assert "error" in capsys.readouterr().err
 
     def test_retry_policy_threads_the_campaign_seed(self):
-        import argparse
-
         from repro.cli import _retry_policy
 
         policy = _retry_policy(argparse.Namespace(
