@@ -13,16 +13,19 @@ Three demonstrations:
 3. corpus persistence — the failure round-trips through JSON so it can
    be replayed by a later build.
 
+Each campaign is the one ``repro fuzz`` runs: one round of freshly
+generated programs, no mutation feedback (``fuzz_spec``).
+
 Run:  python examples/fuzz_campaign.py
 """
 
 from repro.core.tnum import Tnum
-from repro.fuzz import CampaignConfig, Corpus, run_campaign
+from repro.fuzz import Corpus, fuzz_spec, run_precision_campaign
 
 
 def clean_campaign() -> None:
     print("=== 1. clean campaign (budget 200, seed 42) ===")
-    result = run_campaign(CampaignConfig(budget=200, seed=42))
+    result = run_precision_campaign(fuzz_spec(budget=200, seed=42))
     print(result.stats.summary())
     assert result.ok, "the shipped verifier should be sound"
     print()
@@ -44,15 +47,15 @@ def broken_verifier_campaign() -> Corpus:
 
     product.tnum_add = buggy_add
     try:
-        corpus = Corpus()
-        result = run_campaign(
-            CampaignConfig(budget=60, seed=0, profile="alu"), corpus
+        result = run_precision_campaign(
+            fuzz_spec(budget=60, seed=0, profile="alu")
         )
     finally:
         product.tnum_add = real_add
 
     print(result.stats.summary())
     assert not result.ok, "the injected bug must be caught"
+    corpus = result.corpus
     entry = corpus.violations()[0]
     print(f"\nfirst violation: {entry.violation['message']}")
     shrunk = entry.shrunk_program()

@@ -453,6 +453,18 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _bad_ctx_size(ctx_size: int) -> Optional[int]:
+    """An exit code when ``--ctx-size`` is outside the range ``POST
+    /verify`` accepts (verify, run, analyze)."""
+    from repro.api import MAX_CTX_SIZE
+
+    if ctx_size < 0:
+        return _usage_error("--ctx-size must be >= 0")
+    if ctx_size > MAX_CTX_SIZE:
+        return _usage_error(f"--ctx-size must be <= {MAX_CTX_SIZE}")
+    return None
+
+
 def _load_program(path: str, wire: bool = False):
     """The program in ``path``: assembly text, or kernel wire bytecode.
 
@@ -481,8 +493,9 @@ def _cmd_verify(args) -> int:
     from repro.api import Verdict
     from repro.bpf.verifier import Verifier
 
-    if args.ctx_size < 0:
-        return _usage_error("--ctx-size must be >= 0")
+    failed = _bad_ctx_size(args.ctx_size)
+    if failed is not None:
+        return failed
     program = _load_program(args.file, wire=args.wire)
     if program is None:
         return 2
@@ -507,8 +520,9 @@ def _cmd_verify(args) -> int:
 def _cmd_run(args) -> int:
     from repro.bpf import ExecutionError, Machine, ProgramError
 
-    if args.ctx_size < 0:
-        return _usage_error("--ctx-size must be >= 0")
+    failed = _bad_ctx_size(args.ctx_size)
+    if failed is not None:
+        return failed
     program = _load_program(args.file)
     if program is None:
         return 2
@@ -541,8 +555,9 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     from repro.bpf.verifier import Verifier
 
-    if args.ctx_size < 0:
-        return _usage_error("--ctx-size must be >= 0")
+    failed = _bad_ctx_size(args.ctx_size)
+    if failed is not None:
+        return failed
     program = _load_program(args.file)
     if program is None:
         return 2
@@ -728,24 +743,30 @@ def _arm_faults(args) -> Optional[int]:
 
 def _campaign_spec(args) -> "CampaignSpec | int":
     """The CampaignSpec the campaign flags give; an exit code on bad
-    values (campaign, campaign-diff, coordinate)."""
-    from repro.fuzz import CampaignSpec
+    values (fuzz, campaign, campaign-diff, coordinate).  ``fuzz`` has no
+    --rounds or --mutate-fraction: it runs the one-round, feedback-free
+    preset."""
+    from repro.fuzz import CampaignSpec, fuzz_spec
 
+    fields = dict(
+        budget=args.budget,
+        seed=args.seed,
+        # coordinate has no --workers: the field is excluded from the
+        # campaign id (reports are fleet-size-independent), so any
+        # worker count may attach.
+        workers=getattr(args, "workers", 1),
+        profile=args.profile,
+        max_insns=args.max_insns,
+        ctx_size=args.ctx_size,
+        inputs_per_program=args.inputs,
+        shrink=not getattr(args, "no_shrink", False),
+    )
     try:
+        if args.command == "fuzz":
+            return fuzz_spec(**fields)
         return CampaignSpec(
-            budget=args.budget,
-            rounds=args.rounds,
-            seed=args.seed,
-            # coordinate has no --workers: the field is excluded from
-            # the campaign id (reports are fleet-size-independent), so
-            # any worker count may attach.
-            workers=getattr(args, "workers", 1),
-            profile=args.profile,
-            max_insns=args.max_insns,
-            ctx_size=args.ctx_size,
-            inputs_per_program=args.inputs,
-            mutate_fraction=args.mutate_fraction,
-            shrink=not getattr(args, "no_shrink", False),
+            rounds=args.rounds, mutate_fraction=args.mutate_fraction,
+            **fields,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -770,7 +791,7 @@ def _retry_policy(args) -> "RetryPolicy | int":
 
 
 def _cmd_fuzz(args) -> int:
-    from repro.fuzz import CampaignConfig, Corpus, run_campaign
+    from repro.fuzz import run_precision_campaign
 
     failed = _arm_faults(args)
     if failed is not None:
@@ -778,30 +799,18 @@ def _cmd_fuzz(args) -> int:
     policy = _retry_policy(args)
     if isinstance(policy, int):
         return policy
-    try:
-        config = CampaignConfig(
-            budget=args.budget,
-            seed=args.seed,
-            workers=args.workers,
-            profile=args.profile,
-            max_insns=args.max_insns,
-            ctx_size=args.ctx_size,
-            inputs_per_program=args.inputs,
-            shrink=not args.no_shrink,
-        )
-    except ValueError as exc:   # bad option values
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    corpus = Corpus()
+    spec = _campaign_spec(args)
+    if isinstance(spec, int):
+        return spec
     with _obs_session(args):
-        result = run_campaign(config, corpus, retry_policy=policy)
+        result = run_precision_campaign(spec, retry_policy=policy)
     print(f"campaign: seed={args.seed} profile={args.profile} "
           f"workers={args.workers}")
     print(result.stats.summary())
-    _print_violations(corpus)
+    _print_violations(result.corpus)
     if args.corpus:
-        corpus.save(args.corpus)
-        print(f"\ncorpus: {len(corpus)} entries -> {args.corpus}")
+        result.corpus.save(args.corpus)
+        print(f"\ncorpus: {len(result.corpus)} entries -> {args.corpus}")
     _print_obs_outputs(args)
     return 0 if result.ok else 1
 

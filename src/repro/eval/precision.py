@@ -247,14 +247,23 @@ class OperatorStats:
         return sum(b * n for b, n in self.gamma_hist.items()) / total
 
     def merge(self, other: "OperatorStats") -> None:
-        self.occurrences += other.occurrences
-        for bits, count in other.gamma_hist.items():
-            self.gamma_hist[bits] = self.gamma_hist.get(bits, 0) + count
-        self.tightness_sum += other.tightness_sum
-        self.tightness_count += other.tightness_count
-        self.tightness_max = max(self.tightness_max, other.tightness_max)
-        self.rejections += other.rejections
-        self.rejected_clean += other.rejected_clean
+        self.merge_counts(vars(other))
+
+    def merge_counts(self, counts: Dict) -> None:
+        """Add counters keyed by this class's field names: another
+        instance's ``vars()``, or a campaign worker's per-operator
+        record, whose ``gamma_hist`` keys are strings once it has
+        crossed JSON."""
+        self.occurrences += counts["occurrences"]
+        hist = self.gamma_hist
+        for bits, count in counts["gamma_hist"].items():
+            bits = int(bits)
+            hist[bits] = hist.get(bits, 0) + count
+        self.tightness_sum += counts["tightness_sum"]
+        self.tightness_count += counts["tightness_count"]
+        self.tightness_max = max(self.tightness_max, counts["tightness_max"])
+        self.rejections += counts["rejections"]
+        self.rejected_clean += counts["rejected_clean"]
 
     def to_dict(self) -> Dict:
         return {

@@ -76,7 +76,7 @@ WORKER_CRASH_EXIT_CODE = 86
 #: contract per site is documented in ``docs/resilience.md``.
 SITES: Dict[str, str] = {
     "campaign.worker.crash":
-        "a campaign/driver lease worker dies with os._exit mid-batch",
+        "a campaign lease worker dies with os._exit mid-batch",
     "campaign.checkpoint.torn":
         "a campaign --state checkpoint write dies after the temp write",
     "cache.save.torn":

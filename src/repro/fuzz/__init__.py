@@ -26,19 +26,18 @@ Pipeline
 :mod:`~repro.fuzz.corpus`
     JSON persistence for failures (original + shrunk bytecode) and
     interesting seeds; entries replay exactly via the wire format.
-:mod:`~repro.fuzz.driver`
-    Budgeted multiprocessing campaign driver with per-program RNG
-    streams (deterministic for a given seed regardless of worker count)
-    and throughput reporting.
 :mod:`~repro.fuzz.mutate`
     Mutation engine (splice, opcode tweak, constant nudge) turning
     corpus seeds back into fresh inputs.
 :mod:`~repro.fuzz.campaign`
-    Precision campaigns: multi-round, resumable runs that attribute
-    rejected-but-clean rates, γ-size histograms, and tightness deltas to
-    individual transfer functions, and feed shrunk near-miss programs
-    back in as mutation seeds.  Results merge into a deterministic
-    :class:`~repro.eval.precision.PrecisionReport`.
+    The one campaign driver: budgeted, resumable multiprocessing runs
+    with per-program RNG streams (deterministic for a given seed
+    regardless of worker count) that attribute rejected-but-clean rates,
+    γ-size histograms, and tightness deltas to individual transfer
+    functions, and feed shrunk near-miss programs back in as mutation
+    seeds.  Results merge into a deterministic
+    :class:`~repro.eval.precision.PrecisionReport`.  ``repro fuzz`` runs
+    its one-round, feedback-free form (:func:`~repro.fuzz.fuzz_spec`).
 :mod:`~repro.fuzz.resilience`
     Crash recovery for multi-worker runs: the one lease ledger — per-batch
     leases with bounded retry and jittered backoff, lease timeouts
@@ -54,8 +53,8 @@ Pipeline
 
 Quick start
 -----------
->>> from repro.fuzz import CampaignConfig, run_campaign
->>> result = run_campaign(CampaignConfig(budget=100, seed=42))
+>>> from repro.fuzz import fuzz_spec, run_precision_campaign
+>>> result = run_precision_campaign(fuzz_spec(budget=100, seed=42))
 >>> result.ok
 True
 
@@ -70,17 +69,12 @@ from .campaign import (
     CampaignStateError,
     PrecisionCampaignResult,
     PrecisionCampaignStats,
+    fuzz_spec,
+    program_seed,
     run_precision_campaign,
 )
 from .corpus import Corpus, CorpusEntry
 from .dist import Coordinator, CoordinatorConfig, run_worker
-from .driver import (
-    CampaignConfig,
-    CampaignResult,
-    CampaignStats,
-    program_seed,
-    run_campaign,
-)
 from .generator import (
     INTERESTING_IMM64,
     INTERESTING_IMMS,
@@ -115,10 +109,6 @@ __all__ = [
     "ShrinkStats",
     "Corpus",
     "CorpusEntry",
-    "CampaignConfig",
-    "CampaignStats",
-    "CampaignResult",
-    "run_campaign",
     "program_seed",
     "MUTATION_KINDS",
     "mutate_program",
@@ -126,6 +116,7 @@ __all__ = [
     "CampaignStateError",
     "PrecisionCampaignStats",
     "PrecisionCampaignResult",
+    "fuzz_spec",
     "run_precision_campaign",
     "RetryPolicy",
     "LeaseLedger",

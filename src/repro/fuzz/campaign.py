@@ -1,12 +1,13 @@
 """Campaign-scale fuzzing with per-operator precision telemetry.
 
-The plain driver (:mod:`repro.fuzz.driver`) answers *is the verifier
-sound?*  This layer answers the paper's second question — *is it
-precise?* — at whole-program scale.  A precision campaign runs in
-rounds; every program is fuzzed through a telemetry-carrying oracle that
-attributes three imprecision signals to the transfer function that
-caused them (via the verifier's ``on_transfer`` hook and the
-interpreter's ``on_step`` replay observations):
+Every program a campaign fuzzes answers *is the verifier sound?*
+through the differential oracle; the campaign also answers the paper's
+second question — *is it precise?* — at whole-program scale.  A
+precision campaign runs in rounds; every program is fuzzed through a
+telemetry-carrying oracle that attributes three imprecision signals to
+the transfer function that caused them (via the verifier's
+``on_transfer`` hook and the interpreter's ``on_step`` replay
+observations):
 
 * **rejected-but-clean** events, attributed to the operator at the
   rejecting instruction;
@@ -20,6 +21,10 @@ Between rounds the campaign feeds its own findings back in: shrunk
 rejected-but-clean programs and large-tightness near-misses become
 *mutation seeds* (:mod:`repro.fuzz.mutate`), so later rounds concentrate
 on the imprecision frontier earlier rounds discovered.
+
+``repro fuzz`` is the one-round campaign with that feedback off
+(:func:`fuzz_spec`): plain differential fuzzing of freshly generated
+programs, telemetry riding along.
 
 Determinism and resumability
 ----------------------------
@@ -45,12 +50,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro import obs as _obs
+from repro.bpf import isa
 from repro.bpf.program import Program
 from repro.bpf.verifier.absint import step_label
-from repro.eval.precision import OperatorStats, PrecisionReport, gamma_bits
+from repro.eval.precision import PrecisionReport
 
 from .corpus import Corpus
-from .driver import program_seed, shrink_violation
 from .generator import PROFILES, generate_program
 from .mutate import mutate_program
 from .oracle import DifferentialOracle
@@ -69,8 +74,11 @@ __all__ = [
     "PrecisionCampaignStats",
     "PrecisionCampaignResult",
     "TransferCollector",
+    "fuzz_spec",
     "merge_round_results",
+    "program_seed",
     "run_precision_campaign",
+    "shrink_violation",
 ]
 
 
@@ -79,8 +87,34 @@ class CampaignStateError(ValueError):
 
 U64 = (1 << 64) - 1
 
+#: Odd multiplier decorrelating per-program RNG streams from the
+#: campaign seed (splitmix64's increment).
+_STREAM_MIX = 0x9E37_79B9_7F4A_7C15
+
 #: Decorrelates the mutation-decision RNG from the generator stream.
 _MUTATE_MIX = 0xD1B5_4A32_D192_ED03
+
+#: Context loads draw offsets in ``[0, ctx_size - 1]`` and instruction
+#: offsets are signed 16-bit, so a larger context cannot be generated.
+_MAX_GENERATED_CTX_SIZE = 1 << 15
+
+#: The generator's instruction budget is soft: a branch arm's early exit
+#: can overrun it by one slot, nested arms double the overrun of the
+#: level below (three levels: 1 + 2 + 4) and a closing ``mov r0`` adds
+#: one more, so a generated program may hold ``max_insns + 8``
+#: instructions, and a program may hold at most ``isa.MAX_INSNS``.
+_MAX_GENERATED_INSNS = isa.MAX_INSNS - 8
+
+
+def program_seed(campaign_seed: int, index: int) -> int:
+    """Generator seed for program ``index`` of a campaign.
+
+    Derived from ``(campaign_seed, index)`` only, never from worker-local
+    state, so every worker count, transport and resume gets bit-identical
+    streams.
+    """
+    return (campaign_seed * _STREAM_MIX + index * 2_654_435_761 + 1) & U64
+
 
 _STATE_FORMAT_VERSION = 1
 _STATE_FILE = "state.json"
@@ -110,7 +144,8 @@ class CampaignSpec:
     tightness_seed_threshold: int = 16
     shrink: bool = True             # minimize soundness violations
     #: replay step budget — mutants can contain (verifier-rejected)
-    #: loops, so replays must be bounded
+    #: loops, so replays must be bounded; fresh programs are acyclic and
+    #: at most ``isa.MAX_INSNS`` long, so it never binds on them
     step_limit: int = 4096
 
     def __post_init__(self) -> None:
@@ -127,6 +162,12 @@ class CampaignSpec:
             raise ValueError("inputs_per_program must be >= 1")
         if self.ctx_size < 0:
             raise ValueError("ctx_size must be >= 0")
+        if self.ctx_size > _MAX_GENERATED_CTX_SIZE:
+            raise ValueError(
+                f"ctx_size must be <= {_MAX_GENERATED_CTX_SIZE}"
+            )
+        if self.max_insns > _MAX_GENERATED_INSNS:
+            raise ValueError(f"max_insns must be <= {_MAX_GENERATED_INSNS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0.0 <= self.mutate_fraction <= 1.0:
@@ -203,47 +244,69 @@ class PrecisionCampaignResult:
         return self.stats.violations == 0 and not self.quarantined
 
 
+def fuzz_spec(**fields) -> CampaignSpec:
+    """The campaign ``repro fuzz`` runs: one round of freshly generated
+    programs with no mutation and no seed admission, so it fuzzes
+    program ``i`` from ``program_seed(seed, i)`` for every ``i`` below
+    the budget.  ``fields`` are any other :class:`CampaignSpec` fields.
+    """
+    return CampaignSpec(
+        rounds=1, mutate_fraction=0.0, seeds_per_round=0,
+        seed_shrink_per_round=0, **fields,
+    )
+
+
+def _op_entry() -> Dict:
+    """A worker-side per-operator record: the counters of
+    :class:`~repro.eval.precision.OperatorStats`, keyed by field name,
+    as they cross the process boundary and the dist wire."""
+    return {
+        "occurrences": 0, "gamma_hist": {},
+        "tightness_sum": 0, "tightness_count": 0, "tightness_max": 0,
+        "rejections": 0, "rejected_clean": 0,
+    }
+
+
 class TransferCollector:
     """Gathers per-operator telemetry during one program's verification.
 
-    ``ops`` accumulates the γ-size histogram per operator label; ``at``
-    remembers, per instruction index, the label and abstract interval of
-    the scalar result produced there, for the tightness comparison
-    against the concrete ranges the replay observes.
+    ``ops`` maps operator labels to :func:`_op_entry` records and
+    accumulates their γ-size histograms; the programs of a campaign
+    batch share one map.  ``at`` remembers, per instruction index, the
+    label and abstract interval of the scalar result produced there, for
+    the tightness comparison against the concrete ranges the replay
+    observes.
     """
 
-    def __init__(self) -> None:
-        self.ops: Dict[str, Dict] = {}
+    def __init__(self, ops: Optional[Dict[str, Dict]] = None) -> None:
+        self.ops: Dict[str, Dict] = {} if ops is None else ops
         self.at: Dict[int, Tuple[str, int, int]] = {}
 
     def record(self, idx: int, label: str, scalar) -> None:
-        bits = gamma_bits(scalar)
-        entry = self.ops.setdefault(
-            label, {"occurrences": 0, "gamma_hist": {}}
-        )
+        entry = self.ops.get(label)
+        if entry is None:
+            entry = self.ops[label] = _op_entry()
         entry["occurrences"] += 1
         hist = entry["gamma_hist"]
+        # repro.eval.precision.gamma_bits, reading each field once.
+        tnum = scalar.tnum
+        umin = scalar.interval.umin
+        umax = scalar.interval.umax
+        if tnum.value & tnum.mask or umin > umax:   # bottom
+            hist[0] = hist.get(0, 0) + 1
+            return
+        bits = min(bin(tnum.mask).count("1"), (umax - umin).bit_length())
         hist[bits] = hist.get(bits, 0) + 1
-        if scalar.is_bottom() or label.startswith("refine_"):
+        if label.startswith("refine_"):
             return
         prev = self.at.get(idx)
         if prev is None:
-            self.at[idx] = (label, scalar.umin(), scalar.umax())
-        else:
-            self.at[idx] = (
-                label,
-                min(prev[1], scalar.umin()),
-                max(prev[2], scalar.umax()),
-            )
+            self.at[idx] = (label, umin, umax)
+        elif umin < prev[1] or umax > prev[2]:
+            # An index always carries the same label (it depends only
+            # on the opcode), so only a wider span needs a new entry.
+            self.at[idx] = (label, min(prev[1], umin), max(prev[2], umax))
 
-
-#: Worker-side per-operator record: :class:`TransferCollector` fields
-#: (``occurrences``, ``gamma_hist``) plus these counters, named exactly
-#: like the :class:`OperatorStats` fields they merge into.
-_ZERO_OP_COUNTERS = {
-    "tightness_sum": 0, "tightness_count": 0, "tightness_max": 0,
-    "rejections": 0, "rejected_clean": 0,
-}
 
 #: Per-round worker state — the campaign spec and the mutation-seed
 #: pool — installed once per worker (fork/spawn initializer or inline)
@@ -294,12 +357,15 @@ def _telemetry_oracle(
 
 
 def _iter_tightness(collector: TransferCollector, report):
-    """Yield ``(label, delta)`` tightness observations for one program."""
-    for idx, span in sorted(report.concrete_ranges.items()):
-        at = collector.at.get(idx)
-        if at is None:
+    """Yield ``(label, delta)`` tightness observations for one program,
+    in no particular order: every consumer sums, counts, takes a max or
+    tests ``any``."""
+    at = collector.at
+    for idx, span in report.concrete_ranges.items():
+        recorded = at.get(idx)
+        if recorded is None:
             continue  # pointer result or untracked op
-        label, umin, umax = at
+        label, umin, umax = recorded
         abstract_bits = (umax - umin).bit_length()
         observed_bits = (span[1] - span[0]).bit_length()
         yield label, max(0, abstract_bits - observed_bits)
@@ -327,32 +393,33 @@ def _program_for_index(
     )
     program = generated.program
     origin = "fresh"
-    mut_rng = random.Random(seed ^ _MUTATE_MIX)
-    if pool and mut_rng.random() < spec.mutate_fraction:
-        base = get_pool_program(mut_rng.randrange(len(pool)))
-        program = mutate_program(
-            base, donor=generated.program, rng=mut_rng,
-            max_insns=spec.max_insns,
-        )
-        origin = "mutant"
+    if pool:
+        mut_rng = random.Random(seed ^ _MUTATE_MIX)
+        if mut_rng.random() < spec.mutate_fraction:
+            base = get_pool_program(mut_rng.randrange(len(pool)))
+            program = mutate_program(
+                base, donor=generated.program, rng=mut_rng,
+                max_insns=spec.max_insns,
+            )
+            origin = "mutant"
     return seed, origin, program
 
 
-def _fuzz_one(index: int) -> Dict:
+def _fuzz_one(index: int, ops: Dict[str, Dict]) -> Dict:
     """Fuzz one campaign index with telemetry; JSON-friendly result.
 
-    Top-level so it pickles across the process boundary; the spec and
-    mutation pool arrive via :func:`_set_worker_state`.
+    The spec and mutation pool arrive via :func:`_set_worker_state`;
+    the per-operator telemetry goes into ``ops``, the batch's map.
     """
     if _obs.enabled():
         # Merge-on-return: oracle counters and per-op verifier timings
         # recorded by this item ship back with the result, leaving the
         # deterministic telemetry payload untouched.
         with _obs.scoped_registry() as registry:
-            out = _fuzz_one_inner(index)
+            out = _fuzz_one_inner(index, ops)
         out["obs"] = registry.to_dict()
         return out
-    return _fuzz_one_inner(index)
+    return _fuzz_one_inner(index, ops)
 
 
 def _fuzz_batch(
@@ -360,20 +427,30 @@ def _fuzz_batch(
 ) -> List[Dict]:
     """Lease-runner batch task: fuzz each index, with crash injection.
 
+    Top-level so it pickles across the process boundary.  The batch's
+    programs record their telemetry into one per-operator map, which the
+    first result carries (the others carry ``{}``): every value in it
+    is a sum or a maximum, so the merged report does not depend on which
+    program a count came from, and a round holds one map per batch
+    instead of one per program.
+
     The crash key includes the attempt number, so an injected crash does
     not deterministically recur on retry; ``inject`` is False on the
     final attempt (:class:`RetryPolicy.fault_free_final_attempt`), which
     bounds injected chaos without masking real faults.
     """
+    ops: Dict[str, Dict] = {}
     out: List[Dict] = []
     for index in indices:
         if inject and _faults.enabled():
             _faults.crash_point("campaign.worker.crash", (index, attempt))
-        out.append(_fuzz_one(index))
+        out.append(_fuzz_one(index, ops))
+    if out:
+        out[0]["ops"] = ops
     return out
 
 
-def _fuzz_one_inner(index: int) -> Dict:
+def _fuzz_one_inner(index: int, ops: Dict[str, Dict]) -> Dict:
     spec = _worker_spec
     assert spec is not None, "worker spec not installed"
     pool = _worker_pool
@@ -381,20 +458,17 @@ def _fuzz_one_inner(index: int) -> Dict:
         spec, pool, index, get_pool_program=_pool_program
     )
 
-    collector = TransferCollector()
+    collector = TransferCollector(ops)
     oracle = _telemetry_oracle(spec, collector)
     report = oracle.check_program(program, input_seed_base=seed)
-
-    ops = collector.ops
-    for entry in ops.values():
-        entry.update(_ZERO_OP_COUNTERS)
 
     near_miss = False
     for label, delta in _iter_tightness(collector, report):
         entry = ops[label]
         entry["tightness_sum"] += delta
         entry["tightness_count"] += 1
-        entry["tightness_max"] = max(entry["tightness_max"], delta)
+        if delta > entry["tightness_max"]:
+            entry["tightness_max"] = delta
         if delta >= spec.tightness_seed_threshold:
             near_miss = True
 
@@ -410,10 +484,9 @@ def _fuzz_one_inner(index: int) -> Dict:
             if report.reject_pc is not None
             else "cfg"
         )
-        entry = ops.setdefault(
-            reject_label, {"occurrences": 0, "gamma_hist": {},
-                           **_ZERO_OP_COUNTERS}
-        )
+        entry = ops.get(reject_label)
+        if entry is None:
+            entry = ops[reject_label] = _op_entry()
         entry["rejections"] += 1
         if report.rejected_but_clean:
             entry["rejected_clean"] += 1
@@ -434,7 +507,8 @@ def _fuzz_one_inner(index: int) -> Dict:
             and not report.violations
         ),
         "violations": [asdict(v) for v in report.violations],
-        "ops": ops,
+        # The batch's map rides on its first result (see _fuzz_batch).
+        "ops": {},
     }
     if report.violations or out["rejected_but_clean"] or out["near_miss"]:
         out["bytecode_hex"] = program.to_bytes().hex()
@@ -453,13 +527,30 @@ def _merge_result(report: PrecisionReport, res: Dict) -> None:
     if res["origin"] == "mutant":
         report.mutants += 1
     report.violations += len(res["violations"])
-    for label, entry in sorted(res["ops"].items()):
-        report.operator(label).merge(OperatorStats(
-            op=label,
-            occurrences=entry["occurrences"],
-            gamma_hist={int(b): n for b, n in entry["gamma_hist"].items()},
-            **{key: entry[key] for key in _ZERO_OP_COUNTERS},
-        ))
+    for label, entry in res["ops"].items():
+        report.operator(label).merge_counts(entry)
+
+
+def shrink_violation(
+    spec: CampaignSpec, bytecode_hex: str, input_seed_base: int
+) -> Optional[Program]:
+    """Minimize a failing program against the oracle that caught it;
+    None when the failure does not reproduce."""
+    program = Program.from_bytes(bytes.fromhex(bytecode_hex))
+    oracle = DifferentialOracle(
+        ctx_size=spec.ctx_size,
+        inputs_per_program=spec.inputs_per_program,
+    )
+
+    def still_failing(candidate: Program) -> bool:
+        return not oracle.check_program(
+            candidate, input_seed_base=input_seed_base
+        ).ok
+
+    if not still_failing(program):  # non-reproducible; keep the original
+        return None
+    shrunk, _ = shrink_program(program, still_failing)
+    return shrunk
 
 
 def _still_rejected_clean(
@@ -886,7 +977,7 @@ def run_precision_campaign(
                 "campaign.round", round=rnd, programs=len(indices),
                 workers=1,
             ):
-                results = [_fuzz_one(index) for index in indices]
+                results = _fuzz_batch(indices, 0, False)
         merge_round_results(spec, stats, report, pool, corpus, results)
 
         stats.rounds_completed = rnd + 1

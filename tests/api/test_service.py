@@ -7,8 +7,7 @@ import pytest
 
 from repro.api import MAX_CTX_SIZE, VerificationService, VerifyRequest
 from repro.bpf import assemble
-from repro.fuzz import generate_program
-from repro.fuzz.driver import program_seed
+from repro.fuzz import generate_program, program_seed
 from repro.fuzz.generator import PROFILES
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"

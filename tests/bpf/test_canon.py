@@ -30,8 +30,7 @@ from repro.bpf.insn import Instruction
 from repro.bpf.interpreter import ExecutionError, Machine
 from repro.bpf.program import Program, ProgramError
 from repro.bpf.verifier import Verifier
-from repro.fuzz import generate_program
-from repro.fuzz.driver import program_seed
+from repro.fuzz import generate_program, program_seed
 from repro.fuzz.generator import PROFILES
 
 U64 = (1 << 64) - 1

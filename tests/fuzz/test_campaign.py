@@ -7,7 +7,13 @@ import pytest
 
 from repro.core.tnum import Tnum
 from repro.eval.precision import REJECT_COST_BITS, PrecisionReport
-from repro.fuzz import CampaignSpec, run_precision_campaign
+from repro.fuzz import (
+    CampaignSpec,
+    fuzz_spec,
+    generate_program,
+    run_precision_campaign,
+)
+from repro.fuzz.campaign import _fuzz_batch, _merge_result, _set_worker_state
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -36,6 +42,25 @@ class TestSpec:
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             CampaignSpec(workers=0)
+
+    def test_ctx_size_beyond_s16_load_offsets_rejected(self):
+        assert CampaignSpec(ctx_size=32768).ctx_size == 32768
+        with pytest.raises(ValueError, match="ctx_size must be <= 32768"):
+            CampaignSpec(ctx_size=32769)
+
+    def test_max_insns_beyond_the_program_size_limit_rejected(self):
+        assert CampaignSpec(max_insns=4088).max_insns == 4088
+        with pytest.raises(ValueError, match="max_insns must be <= 4088"):
+            CampaignSpec(max_insns=4089)
+
+    def test_largest_context_fuzzes(self):
+        # Loads near the end of a 32 KiB context need offsets up to
+        # 32767, the largest s16.
+        result = run_precision_campaign(fuzz_spec(
+            budget=6, seed=2, profile="memory", ctx_size=32768,
+            inputs_per_program=2,
+        ))
+        assert result.ok and result.stats.executed == 6
 
 
 class TestCrossWorkerDeterminism:
@@ -94,6 +119,47 @@ class TestTelemetry:
         result = run_precision_campaign(small_spec())
         reloaded = PrecisionReport.from_json(result.report.to_json())
         assert reloaded.to_json() == result.report.to_json()
+
+
+class TestBatchFold:
+    """A batch folds its programs' per-operator telemetry into one map
+    on its first result; the merged report cannot tell."""
+
+    @pytest.fixture
+    def mutant_batch(self):
+        # Every program mutates a pool seed, so rejections, clean
+        # rejections and tightness all reach the fold.
+        spec = CampaignSpec(budget=40, rounds=1, seed=7, profile="memory",
+                            mutate_fraction=1.0)
+        pool = tuple(
+            generate_program(seed, "memory").program.to_bytes().hex()
+            for seed in range(4)
+        )
+        _set_worker_state(spec, pool)
+        return range(spec.budget)
+
+    def test_first_result_carries_the_batch_map(self, mutant_batch):
+        results = _fuzz_batch(mutant_batch, 0, False)
+        assert [res["index"] for res in results] == list(mutant_batch)
+        assert results[0]["ops"]
+        assert all(res["ops"] == {} for res in results[1:])
+
+    def test_fold_changes_no_report(self, mutant_batch):
+        folded = _fuzz_batch(mutant_batch, 0, False)
+        one_by_one = [
+            res for index in mutant_batch
+            for res in _fuzz_batch([index], 0, False)
+        ]
+        reports = []
+        for results in (folded, one_by_one):
+            report = PrecisionReport()
+            # Through JSON, as results cross the dist wire.
+            for res in json.loads(json.dumps(results)):
+                _merge_result(report, res)
+            reports.append(report)
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[0].rejected_clean > 0
+        assert any(s.tightness_count for s in reports[0].operators.values())
 
 
 class TestMutationFeedback:

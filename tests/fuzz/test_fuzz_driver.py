@@ -1,4 +1,9 @@
-"""Campaign driver: determinism, parallelism, corpus, CLI integration."""
+"""``repro fuzz``: determinism, parallelism, corpus, CLI integration.
+
+``repro fuzz`` runs the one-round, feedback-free precision campaign
+(:func:`repro.fuzz.fuzz_spec`); these tests drive that preset directly
+and through the CLI.
+"""
 
 import json
 
@@ -7,10 +12,10 @@ import pytest
 from repro.cli import main
 from repro.core.tnum import Tnum
 from repro.fuzz import (
-    CampaignConfig,
     Corpus,
+    fuzz_spec,
     generate_program,
-    run_campaign,
+    run_precision_campaign,
 )
 
 
@@ -23,29 +28,30 @@ def stats_key(stats):
 
 class TestCampaign:
     def test_clean_campaign(self):
-        result = run_campaign(CampaignConfig(budget=60, seed=42))
+        result = run_precision_campaign(fuzz_spec(budget=60, seed=42))
         assert result.ok
         assert result.stats.executed == 60
         assert result.stats.violations == 0
         assert result.stats.programs_per_second > 0
 
     def test_deterministic_across_runs(self):
-        config = CampaignConfig(budget=40, seed=11)
-        a = run_campaign(config)
-        b = run_campaign(config)
+        spec = fuzz_spec(budget=40, seed=11)
+        a = run_precision_campaign(spec)
+        b = run_precision_campaign(spec)
         assert stats_key(a.stats) == stats_key(b.stats)
         assert a.corpus.to_json() == b.corpus.to_json()
 
     def test_deterministic_across_worker_counts(self):
-        base = CampaignConfig(budget=30, seed=3)
-        parallel = CampaignConfig(budget=30, seed=3, workers=2)
-        a = run_campaign(base)
-        b = run_campaign(parallel)
+        a = run_precision_campaign(fuzz_spec(budget=30, seed=3))
+        b = run_precision_campaign(fuzz_spec(budget=30, seed=3, workers=2))
         assert stats_key(a.stats) == stats_key(b.stats)
+        # Two workers fold their operator telemetry per batch, one
+        # worker over the whole round: the report must not notice.
+        assert a.report.to_json() == b.report.to_json()
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(KeyError):
-            CampaignConfig(profile="bogus")
+            fuzz_spec(profile="bogus")
 
     def test_injected_bug_produces_shrunk_corpus_entry(self, monkeypatch):
         import repro.domains.product as product
@@ -59,8 +65,8 @@ class TestCampaign:
             return Tnum(t.value & ~1, t.mask & ~1, t.width)
 
         monkeypatch.setattr(product, "tnum_add", buggy_add)
-        result = run_campaign(
-            CampaignConfig(budget=40, seed=0, profile="alu")
+        result = run_precision_campaign(
+            fuzz_spec(budget=40, seed=0, profile="alu")
         )
         assert not result.ok
         entry = result.corpus.violations()[0]

@@ -57,6 +57,25 @@ class TestStructure:
                     assert insn.size_bytes() <= ctx_size
 
 
+class TestSizeBound:
+    """The instruction budget is soft: a program may overrun
+    ``max_insns`` by at most 8, which is why campaigns cap ``max_insns``
+    at ``isa.MAX_INSNS - 8``."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_overrun_is_at_most_eight(self, profile):
+        for max_insns in (8, 24, 40):
+            for seed in range(200):
+                program = generate_program(seed, profile, max_insns).program
+                assert len(program.insns) <= max_insns + 8
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_largest_campaign_programs_build(self, profile):
+        # Program() raises for more than isa.MAX_INSNS instructions.
+        for seed in range(64):
+            generate_program(seed, profile, isa.MAX_INSNS - 8)
+
+
 class TestVerifierPlausibility:
     def test_high_acceptance_rate(self):
         accepted = sum(

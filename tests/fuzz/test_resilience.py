@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.fuzz import CampaignConfig, CampaignSpec, run_campaign
+from repro.fuzz import CampaignSpec, fuzz_spec
 from repro.fuzz.campaign import run_precision_campaign
 from repro.fuzz import resilience
 from repro.fuzz.resilience import (
@@ -364,12 +364,15 @@ class TestQuarantineArtifacts:
 
 
 class TestDriverChaos:
+    """``repro fuzz`` (the one-round, feedback-free campaign) under
+    worker kills."""
+
     def test_fuzz_driver_recovers_and_matches(self):
         config = dict(budget=30, seed=3, max_insns=10, shrink=False)
-        base = run_campaign(CampaignConfig(workers=1, **config))
+        base = run_precision_campaign(fuzz_spec(workers=1, **config))
         faults.arm("seed=5,campaign.worker.crash=0.5")
-        chaos = run_campaign(
-            CampaignConfig(workers=2, **config),
+        chaos = run_precision_campaign(
+            fuzz_spec(workers=2, **config),
             retry_policy=RetryPolicy(backoff_base_s=0.01),
         )
         assert chaos.stats.retries > 0
@@ -381,9 +384,9 @@ class TestDriverChaos:
     def test_quarantined_batches_fail_the_run(self):
         faults.arm("seed=5,campaign.worker.crash=1")
         # No fault-free last attempt: every batch crashes to exhaustion.
-        result = run_campaign(
-            CampaignConfig(budget=12, seed=3, max_insns=10, shrink=False,
-                           workers=2),
+        result = run_precision_campaign(
+            fuzz_spec(budget=12, seed=3, max_insns=10, shrink=False,
+                      workers=2),
             retry_policy=RetryPolicy(
                 max_attempts=2, backoff_base_s=0.01,
                 fault_free_final_attempt=False,

@@ -16,12 +16,7 @@ from repro import obs
 from repro.bpf import assemble
 from repro.bpf.verifier import Verifier
 from repro.bpf.verifier.absint import step_label
-from repro.fuzz import (
-    CampaignConfig,
-    CampaignSpec,
-    run_campaign,
-    run_precision_campaign,
-)
+from repro.fuzz import CampaignSpec, fuzz_spec, run_precision_campaign
 from repro.fuzz.oracle import DifferentialOracle
 
 
@@ -106,14 +101,16 @@ def test_oracle_counts_replays_and_verdicts():
 
 
 def test_driver_metrics_are_worker_count_independent():
-    config1 = CampaignConfig(budget=14, seed=5, workers=1, shrink=False)
+    # `repro fuzz`'s one-round campaign.
     obs.enable()
-    run_campaign(config1)
+    run_precision_campaign(fuzz_spec(budget=14, seed=5, workers=1,
+                                     shrink=False))
     solo = obs.default_registry().to_dict()
 
     obs.reset()
     obs.enable()
-    run_campaign(CampaignConfig(budget=14, seed=5, workers=2, shrink=False))
+    run_precision_campaign(fuzz_spec(budget=14, seed=5, workers=2,
+                                     shrink=False))
     split = obs.default_registry().to_dict()
 
     # Counters and histogram counts merge associatively, so the shard

@@ -547,6 +547,24 @@ class TestResilienceFlags:
          "workers must be >= 1"),
         (["campaign", "--budget", "2", "--workers", "-3"],
          "workers must be >= 1"),
+        # Generated context loads need s16 offsets, generated programs
+        # must fit isa.MAX_INSNS, and POST /verify caps the context.
+        (["fuzz", "--budget", "50", "--ctx-size", "40000"],
+         "ctx_size must be <= 32768"),
+        (["campaign", "--budget", "50", "--rounds", "1",
+          "--ctx-size", "40000"], "ctx_size must be <= 32768"),
+        (["campaign-diff", BASELINE, "--ctx-size", "32769"],
+         "ctx_size must be <= 32768"),
+        (["fuzz", "--budget", "9", "--max-insns", "4089",
+          "--profile", "branchy"], "max_insns must be <= 4088"),
+        (["campaign", "--budget", "9", "--max-insns", "4096"],
+         "max_insns must be <= 4088"),
+        (["verify", "PROGRAM", "--ctx-size", "65537"],
+         "--ctx-size must be <= 65536"),
+        (["run", "PROGRAM", "--ctx-size", "30000000"],
+         "--ctx-size must be <= 65536"),
+        (["analyze", "PROGRAM", "--ctx-size", "65537"],
+         "--ctx-size must be <= 65536"),
     ])
     def test_run_that_checks_nothing_is_usage_error(
             self, command, message, safe_file, capsys):
