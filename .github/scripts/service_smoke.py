@@ -8,7 +8,9 @@ types only) so additive response fields never break this script.
 
 With ``--restarted`` it checks instead that a service booted on the
 store an earlier run saved answers the same program from that store:
-cached on the first request, with no verification.
+cached on the first request, with no verification.  The earlier run
+also stored a program with transfers, whose cached precision summary
+must equal the one a fresh walk (``states=1``) renders.
 
 Usage: service_smoke.py [--restarted] [BASE_URL]
 (default http://127.0.0.1:8737)
@@ -21,6 +23,12 @@ import urllib.request
 
 # mov r0, 0 ; exit — the smallest accepted program, in kernel wire format.
 GOOD_WIRE = bytes.fromhex("b700000000000000" "9500000000000000")
+# ldxw r0, [r1+0] ; and r0, 255 ; add r0, 1 ; exit — two transfers of
+# 8 γ-bits each, so its precision summary is not empty.
+PRECISE_WIRE = bytes.fromhex(
+    "6110000000000000" "57000000ff000000"
+    "0700000001000000" "9500000000000000"
+)
 
 
 def request(base, path, data=None, content_type=None):
@@ -76,6 +84,19 @@ def restarted(base):
     service = stats.get("service", {})
     check("stats: no verification after restart",
           status == 200 and service.get("verifications") == 0, service)
+
+    # The stored precision summary survived the restart: the cached
+    # answer equals what a fresh walk renders.
+    status, cached = post_wire(base, PRECISE_WIRE, "/verify?precision=1")
+    check("restarted precision POST is cached",
+          status == 200 and cached.get("cached") is True, (status, cached))
+    status, fresh = post_wire(
+        base, PRECISE_WIRE, "/verify?states=1&precision=1")
+    check("states POST walks afresh",
+          status == 200 and fresh.get("cached") is False, (status, fresh))
+    check("cached precision equals the fresh walk's",
+          cached.get("precision") == fresh.get("precision")
+          and cached["precision"].get("transfers") == 2, (cached, fresh))
     print("service smoke (restarted): all checks passed")
 
 
@@ -147,6 +168,14 @@ def main():
           "repro_api_requests_total" in text
           and "repro_api_cache_hits_total" in text,
           text.splitlines()[:5])
+
+    # A program with transfers, so the store saved at shutdown holds a
+    # non-empty precision summary for --restarted to compare.
+    status, body = post_wire(base, PRECISE_WIRE, "/verify?precision=1")
+    check("precision POST", status == 200 and body.get("ok") is True,
+          (status, body))
+    check("precision summary counts two transfers",
+          body.get("precision", {}).get("transfers") == 2, body)
 
     print("service smoke: all checks passed")
 

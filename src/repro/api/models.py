@@ -4,7 +4,9 @@
 verification outcome — served over HTTP, printed by ``repro verify
 --json``, or read back from a :class:`~repro.bpf.canon.VerdictCache`
 entry — renders through :class:`Verdict`, so clients see a single
-schema no matter which layer produced the answer.
+schema no matter which layer produced the answer.  The ``precision``
+summary renders from the per-operator runs a cache entry keeps
+(:func:`precision_summary`), so a miss and a hit print the same table.
 
 The response payload is additive-versioned: ``schema_version`` bumps
 only on breaking changes, and clients are expected to ignore unknown
@@ -28,7 +30,7 @@ Current shape::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro import obs as _obs
@@ -234,30 +236,25 @@ class Verdict:
         return (f"REJECTED: {self.error.message()}",)
 
 
-def precision_summary(events: Iterable[Tuple[int, str, object]]) -> Dict:
-    """Aggregate a transfer stream into a per-operator precision table.
+def precision_summary(precision: Sequence) -> Dict:
+    """Render a cache entry's precision runs as the ``precision`` payload.
 
-    ``events`` is the verifier's ``on_transfer`` stream (live or
-    replayed from a cache entry): per operator label, the number of
-    transfers and the γ-width distribution extremes of their abstract
-    results.  The same :func:`~repro.eval.precision.gamma_bits` measure
-    the campaign telemetry uses, so service numbers and campaign reports
+    ``precision`` is :attr:`~repro.bpf.canon.CachedVerdict.precision`:
+    the walk's ``on_transfer`` stream folded, per operator label in
+    first-transfer order, into flat ``label, count, gamma_bits_sum,
+    gamma_bits_max`` runs.  The γ-width is
+    :meth:`~repro.domains.product.ScalarValue.gamma_bits`, the measure
+    campaign telemetry uses, so service numbers and campaign reports
     speak one unit.
     """
-    from repro.eval.precision import gamma_bits
-
     operators: Dict[str, Dict] = {}
     transfers = 0
-    for _idx, label, scalar in events:
-        transfers += 1
-        entry = operators.get(label)
-        if entry is None:
-            entry = operators[label] = {
-                "count": 0, "gamma_bits_sum": 0, "gamma_bits_max": 0,
-            }
-        bits = gamma_bits(scalar)
-        entry["count"] += 1
-        entry["gamma_bits_sum"] += bits
-        if bits > entry["gamma_bits_max"]:
-            entry["gamma_bits_max"] = bits
+    runs = iter(precision)
+    for label, count, bits_sum, bits_max in zip(runs, runs, runs, runs):
+        transfers += count
+        operators[label] = {
+            "count": count,
+            "gamma_bits_sum": bits_sum,
+            "gamma_bits_max": bits_max,
+        }
     return {"transfers": transfers, "operators": operators}

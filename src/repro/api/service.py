@@ -22,9 +22,12 @@ and campaigns always walk):
   answer from the freshly stored entry as cache hits.  N identical
   concurrent submissions cost exactly one verification.
 
-``states=true`` requests bypass the cache and the single-flight path:
+``states=true`` requests bypass the lookup and the single-flight path:
 per-instruction entry states are walk artifacts the cache does not
-carry, so they always pay a fresh (``collect_states``) walk.
+carry, so they always pay a fresh (``collect_states``) walk.  Misses
+and ``states`` requests walk in :meth:`VerificationService._verify_miss`,
+which stores the verdict with its transfer stream folded into
+precision runs.
 
 All cache and counter access is serialized on one lock —
 :class:`~repro.bpf.canon.VerdictCache` is an ``OrderedDict`` LRU and
@@ -100,7 +103,6 @@ class VerificationService:
 
     def __init__(
         self,
-        cache: Optional[VerdictCache] = None,
         cache_path: Optional[str] = None,
         cache_size: int = 65536,
         workers: int = DEFAULT_WORKERS,
@@ -119,16 +121,14 @@ class VerificationService:
                 f"default_ctx_size {default_ctx_size} out of range "
                 f"[0, {MAX_CTX_SIZE}]"
             )
-        if cache is None:
-            # ``load`` raises a clear ValueError on a corrupt/truncated
-            # store (see VerdictCache.load) — the caller surfaces it as
-            # a startup error instead of serving from a broken store.
-            cache = (
-                VerdictCache.load(cache_path, max_entries=cache_size)
-                if cache_path is not None
-                else VerdictCache(max_entries=cache_size)
-            )
-        self.cache = cache
+        # ``load`` raises a clear ValueError on a corrupt/truncated store
+        # (see VerdictCache.load) — the caller surfaces it as a startup
+        # error instead of serving from a broken store.
+        self.cache = (
+            VerdictCache.load(cache_path, max_entries=cache_size)
+            if cache_path is not None
+            else VerdictCache(max_entries=cache_size)
+        )
         self.cache_path = cache_path
         self.default_ctx_size = default_ctx_size
         self.workers = workers
@@ -172,7 +172,12 @@ class VerificationService:
             request.program.canonical_hash(), request.ctx_size,
         )
         if request.want_states:
-            return self._await(self._submit(self._verify_fresh, key, request))
+            entry, states = self._await(
+                self._submit(self._verify_miss, key, request)
+            )
+            return self._render(
+                entry, key, request, cached=False, states=states
+            )
         with self._lock:
             flight = self._inflight.get(key)
             if flight is None:
@@ -186,7 +191,7 @@ class VerificationService:
                 leader = False
         if leader:
             try:
-                entry = self._await(
+                entry, _ = self._await(
                     self._submit(self._verify_miss, key, request)
                 )
                 flight.entry = entry
@@ -277,12 +282,15 @@ class VerificationService:
 
     def _verify_miss(
         self, key: CacheKey, request: VerifyRequest
-    ) -> CachedVerdict:
+    ) -> Tuple[CachedVerdict, Optional[Dict[int, str]]]:
+        """Walk and store; the entry, plus its states on request (a
+        ``states`` walk skipped the lookup, so it replaces no entry)."""
         if _faults.enabled():
             _faults.sleep_if("service.verify.hang")
         events: List[Tuple[int, str, object]] = []
         verifier = Verifier(
             ctx_size=request.ctx_size,
+            collect_states=request.want_states,
             deadline_s=self.request_timeout_s,
             on_transfer=lambda idx, label, scalar: events.append(
                 (idx, label, scalar)
@@ -293,44 +301,17 @@ class VerificationService:
             # A timeout says nothing about the program: never cached,
             # surfaced as 504 — the next submission gets a full walk.
             raise self._deadline()
-        entry = CachedVerdict.from_result(result, tuple(events))
+        entry = CachedVerdict.from_result(result, events)
         with self._lock:
             self.verifications += 1
-            self.cache.put(key, entry)
-        self._count("verifications")
-        return entry
-
-    def _verify_fresh(self, key: CacheKey, request: VerifyRequest) -> Verdict:
-        if _faults.enabled():
-            _faults.sleep_if("service.verify.hang")
-        events: List[Tuple[int, str, object]] = []
-        verifier = Verifier(
-            ctx_size=request.ctx_size,
-            collect_states=True,
-            deadline_s=self.request_timeout_s,
-            on_transfer=lambda idx, label, scalar: events.append(
-                (idx, label, scalar)
-            ),
-        )
-        result = verifier.verify(request.program)
-        if result.timed_out:
-            raise self._deadline()
-        states = {
-            idx: str(state) for idx, state in verifier.states_at.items()
-        }
-        entry = CachedVerdict.from_result(result, tuple(events))
-        with self._lock:
-            self.verifications += 1
-            if key not in self.cache:
+            if not request.want_states or key not in self.cache:
                 self.cache.put(key, entry)
         self._count("verifications")
-        precision = (
-            precision_summary(events) if request.want_precision else None
-        )
-        return Verdict.from_result(
-            result, key[0], key[1],
-            cached=False, states=states, precision=precision,
-        )
+        if not request.want_states:
+            return entry, None
+        return entry, {
+            idx: str(state) for idx, state in verifier.states_at.items()
+        }
 
     def _render(
         self,
@@ -338,14 +319,15 @@ class VerificationService:
         key: CacheKey,
         request: VerifyRequest,
         cached: bool,
+        states: Optional[Dict[int, str]] = None,
     ) -> Verdict:
         precision = (
-            precision_summary(entry.events)
+            precision_summary(entry.precision)
             if request.want_precision else None
         )
         return Verdict.from_result(
             entry.result(), key[0], key[1],
-            cached=cached, precision=precision,
+            cached=cached, states=states, precision=precision,
         )
 
     # -- introspection ------------------------------------------------------

@@ -30,8 +30,9 @@ cannot prove anything about keeps its raw fields.
 ctx_size)`` to a :class:`CachedVerdict`: the full
 :class:`~repro.bpf.verifier.errors.VerificationResult` (accept/reject,
 error index/reason/structural flag, instructions processed) and the
-recorded ``on_transfer`` event stream, from which the service renders
-its precision summary.  :class:`~repro.api.service.VerificationService`
+walk's ``on_transfer`` stream folded into per-operator precision runs,
+from which the service renders its precision summary.  The scalars
+themselves are not kept.  :class:`~repro.api.service.VerificationService`
 (``repro serve``) is its one user.  Entries are LRU-evicted past
 ``max_entries`` and serialize to the JSON store ``repro serve
 --verdict-cache`` loads at startup and saves at shutdown; the store is
@@ -46,16 +47,14 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro import obs as _obs
-from repro.core.tnum import Tnum
-from repro.domains.interval import Interval
-from repro.domains.product import ScalarValue
 
 from . import isa
 from .insn import _LDDW_OPCODE, Instruction
@@ -80,7 +79,7 @@ U32 = (1 << 32) - 1
 #: can never serve verdicts computed under different equivalence rules.
 CANON_VERSION = 1
 #: Version of the JSON store layout itself.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 #: Packages (under ``repro``) whose code decides a verdict.
 _ENGINE_PACKAGES = ("core", "domains", "bpf")
 
@@ -229,34 +228,55 @@ def canonicalize(program: Program) -> Program:
 # -- cached verdicts -----------------------------------------------------------
 
 
-def _pack_scalar(scalar: ScalarValue) -> List[int]:
-    t, iv = scalar.tnum, scalar.interval
-    return [t.value, t.mask, iv.umin, iv.umax, t.width]
+def _fold_transfers(events: Iterable[Tuple[int, str, Any]]) -> Tuple:
+    """One flat ``label, count, gamma_bits_sum, gamma_bits_max`` run per
+    operator, in first-transfer order: all a precision summary reads."""
+    runs: Dict[str, List[int]] = {}
+    for _idx, label, scalar in events:
+        bits = scalar.gamma_bits()
+        run = runs.get(label)
+        if run is None:
+            runs[label] = [1, bits, bits]
+        else:
+            run[0] += 1
+            run[1] += bits
+            if bits > run[2]:
+                run[2] = bits
+    flat: List = []
+    for label, run in runs.items():
+        flat.append(label)
+        flat.extend(run)
+    return tuple(flat)
 
 
-def _unpack_scalar(fields: Sequence[int]) -> ScalarValue:
-    value, mask, umin, umax, width = (int(f) for f in fields)
-    # Direct constructors, not ``make``: the recorded pair is already
-    # reduced, and re-reducing could rebuild a (semantically equal but)
-    # differently-normalized product than the one the walk produced.
-    return ScalarValue(Tnum(value, mask, width), Interval(umin, umax, width))
-
-
-#: One recorded ``on_transfer`` call: ``(insn_index, label, scalar)``.
-Event = Tuple[int, str, ScalarValue]
+def _check_precision(record: Any) -> Tuple:
+    """A stored ``precision`` record as a tuple, labels interned."""
+    if not isinstance(record, list) or len(record) % 4 or not all(
+        isinstance(f, str) if i % 4 == 0 else type(f) is int and f >= 0
+        for i, f in enumerate(record)
+    ):
+        raise ValueError(
+            "precision record is not label, count, sum, max runs (a "
+            "string and three non-negative integers each)"
+        )
+    return tuple(sys.intern(f) if isinstance(f, str) else f for f in record)
 
 
 class CachedVerdict:
     """Everything a verdict consumer can observe, minus the walk.
 
-    ``events`` is the complete ``on_transfer`` stream the abstract walk
-    produced, in order, so a precision summary rendered from a hit is
-    the one the walk would give.
+    ``precision`` is the walk's ``on_transfer`` stream folded once, when
+    the walk ends (see :func:`_fold_transfers`): a flat tuple of
+    ``label, count, gamma_bits_sum, gamma_bits_max`` per operator, in
+    first-transfer order, from which
+    :func:`repro.api.models.precision_summary` renders the summary the
+    walk would give.  Flat, because nested per-operator tuples cost
+    about 0.3 KB more per entry.
     """
 
     __slots__ = (
         "ok", "error_index", "error_reason", "error_structural",
-        "insns_processed", "events",
+        "insns_processed", "precision",
     )
 
     def __init__(
@@ -266,18 +286,20 @@ class CachedVerdict:
         error_reason: str,
         error_structural: bool,
         insns_processed: int,
-        events: Tuple[Event, ...],
+        precision: Tuple,
     ) -> None:
         self.ok = ok
         self.error_index = error_index
         self.error_reason = error_reason
         self.error_structural = error_structural
         self.insns_processed = insns_processed
-        self.events = events
+        self.precision = precision
 
     @classmethod
     def from_result(
-        cls, result: VerificationResult, events: Tuple[Event, ...]
+        cls,
+        result: VerificationResult,
+        events: Iterable[Tuple[int, str, Any]],
     ) -> "CachedVerdict":
         error = result.errors[0] if result.errors else None
         return cls(
@@ -286,7 +308,7 @@ class CachedVerdict:
             error_reason=error.reason if error is not None else "",
             error_structural=bool(error is not None and error.structural),
             insns_processed=result.insns_processed,
-            events=events,
+            precision=_fold_transfers(events),
         )
 
     def result(self) -> VerificationResult:
@@ -304,10 +326,7 @@ class CachedVerdict:
         payload: Dict = {
             "ok": self.ok,
             "insns_processed": self.insns_processed,
-            "events": [
-                [idx, label, _pack_scalar(scalar)]
-                for idx, label, scalar in self.events
-            ],
+            "precision": list(self.precision),
         }
         if not self.ok:
             payload["error"] = [
@@ -324,10 +343,7 @@ class CachedVerdict:
             error_reason=str(error[1]) if error else "",
             error_structural=bool(error[2]) if error else False,
             insns_processed=int(payload["insns_processed"]),
-            events=tuple(
-                (int(idx), str(label), _unpack_scalar(fields))
-                for idx, label, fields in payload["events"]
-            ),
+            precision=_check_precision(payload["precision"]),
         )
 
 

@@ -107,7 +107,9 @@ def _add_program_flags(parser: argparse.ArgumentParser) -> None:
                         choices=("mixed", "alu", "memory", "branchy"),
                         help="opcode-mix profile (default mixed)")
     parser.add_argument("--max-insns", type=int, default=32,
-                        help="max instructions per program (default 32)")
+                        help="instruction budget per program (default 32; "
+                             "values below 4 count as 4, and a program "
+                             "may overrun the budget by up to 8)")
     parser.add_argument("--inputs", type=int, default=8,
                         help="concrete inputs per program (default 8)")
     parser.add_argument("--ctx-size", type=int, default=64,

@@ -162,6 +162,20 @@ class ScalarValue:
     def umax(self) -> int:
         return self.interval.umax
 
+    def gamma_bits(self) -> int:
+        """log2-ish abstract width in bits: the campaign's and the
+        service's one γ-width measure.
+
+        The γ-set of the product is bounded both by ``2^k`` for ``k``
+        unknown tnum bits and by the interval's span, so the tighter of
+        the two log2 bounds is used.  0 means a singleton (constant).
+        """
+        if self.is_bottom():
+            return 0
+        unknown = bin(self.tnum.mask).count("1")
+        span = (self.interval.umax - self.interval.umin).bit_length()
+        return min(unknown, span)
+
     # -- lattice --------------------------------------------------------------
 
     def leq(self, other: "ScalarValue") -> bool:

@@ -205,17 +205,9 @@ REJECT_COST_BITS = 8
 
 
 def gamma_bits(scalar) -> int:
-    """log2-ish abstract width of a :class:`ScalarValue` in bits.
-
-    The γ-set of a tnum × interval product is bounded both by ``2^k`` for
-    ``k`` unknown tnum bits and by the interval's span, so the tighter of
-    the two log2 bounds is used.  0 means a singleton (constant).
-    """
-    if scalar.is_bottom():
-        return 0
-    unknown = bin(scalar.tnum.mask).count("1")
-    span = (scalar.umax() - scalar.umin()).bit_length()
-    return min(unknown, span)
+    """log2-ish abstract width of a :class:`ScalarValue` in bits; see
+    :meth:`repro.domains.product.ScalarValue.gamma_bits`."""
+    return scalar.gamma_bits()
 
 
 @dataclass

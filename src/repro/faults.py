@@ -87,10 +87,6 @@ SITES: Dict[str, str] = {
         "the abstract walk sleeps per basic block (arg: seconds/block)",
     "service.verify.hang":
         "a service verification sleeps before walking (arg: seconds)",
-    "store.io.fail":
-        "a store read/write raises OSError",
-    "store.io.slow":
-        "a store read/write sleeps first (arg: seconds)",
     "dist.rpc.slow":
         "a dist worker RPC sleeps before being sent (arg: seconds)",
     "dist.result.drop":
@@ -108,7 +104,6 @@ _DEFAULT_ARGS: Dict[str, float] = {
     "cache.save.slow": 0.05,
     "verify.hang": 0.05,
     "service.verify.hang": 0.25,
-    "store.io.slow": 0.05,
     "dist.rpc.slow": 0.05,
     "dist.heartbeat.stale": 1.0,
 }

@@ -288,7 +288,7 @@ class TransferCollector:
             entry = self.ops[label] = _op_entry()
         entry["occurrences"] += 1
         hist = entry["gamma_hist"]
-        # repro.eval.precision.gamma_bits, reading each field once.
+        # ScalarValue.gamma_bits, reading each field once.
         tnum = scalar.tnum
         umin = scalar.interval.umin
         umax = scalar.interval.umax
@@ -510,7 +510,12 @@ def _fuzz_one_inner(index: int, ops: Dict[str, Dict]) -> Dict:
         # The batch's map rides on its first result (see _fuzz_batch).
         "ops": {},
     }
-    if report.violations or out["rejected_but_clean"] or out["near_miss"]:
+    # The merge reads the hex to shrink a violation, and to admit a
+    # mutation seed only when the spec admits any.
+    if report.violations or (
+        spec.seeds_per_round > 0
+        and (out["rejected_but_clean"] or out["near_miss"])
+    ):
         out["bytecode_hex"] = program.to_bytes().hex()
     return out
 

@@ -37,7 +37,7 @@ from repro.bpf.insn import Instruction
 from repro.bpf.program import Program, ProgramError
 
 from .generator import INTERESTING_IMM64, INTERESTING_IMMS
-from .shrink import slot_prefix
+from .shrink import is_retargetable_jump, slot_prefix
 
 __all__ = ["MUTATION_KINDS", "mutate_program"]
 
@@ -57,14 +57,6 @@ _JMP_FAMILY = [
     isa.JMP_JLE, isa.JMP_JSET, isa.JMP_JSGT, isa.JMP_JSGE, isa.JMP_JSLT,
     isa.JMP_JSLE,
 ]
-
-
-def _is_retargetable_jump(insn: Instruction) -> bool:
-    return (
-        insn.is_jump()
-        and not insn.is_exit()
-        and isa.BPF_OP(insn.opcode) != isa.JMP_CALL
-    )
 
 
 def _normalize(
@@ -88,7 +80,7 @@ def _normalize(
     boundaries = set(slots)
     exit_slot = slots[-1]
     for k, insn in enumerate(insns):
-        if not _is_retargetable_jump(insn):
+        if not is_retargetable_jump(insn):
             continue
         target = slots[k] + insn.slots() + insn.off
         if target not in boundaries:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional
 
+from repro.bpf import isa
 from repro.bpf.insn import Instruction
 from repro.bpf.program import Program, ProgramError
 
@@ -46,9 +47,6 @@ def slot_prefix(insns: List[Instruction]) -> List[int]:
     return slots
 
 
-_slot_prefix = slot_prefix
-
-
 def _jump_target_index(
     insns: List[Instruction], slots: List[int], j: int
 ) -> Optional[int]:
@@ -61,9 +59,9 @@ def _jump_target_index(
         return None
 
 
-def _is_retargetable_jump(insn: Instruction) -> bool:
-    from repro.bpf import isa
-
+def is_retargetable_jump(insn: Instruction) -> bool:
+    """A jump with a target offset: not ``exit``, not ``call`` (shared
+    with mutate)."""
     return (
         insn.is_jump()
         and not insn.is_exit()
@@ -79,13 +77,13 @@ def rebuild_without(
     Returns ``None`` when the candidate cannot be made structurally
     valid (e.g. a jump would point past the end, or offsets overflow).
     """
-    old_slots = _slot_prefix(insns)
+    old_slots = slot_prefix(insns)
     keep_set = set(keep)
 
     # Old target index for each kept jump, resolved before deletion.
     old_targets = {}
     for j in keep:
-        if _is_retargetable_jump(insns[j]):
+        if is_retargetable_jump(insns[j]):
             t = _jump_target_index(insns, old_slots, j)
             if t is None:
                 return None
@@ -105,7 +103,7 @@ def rebuild_without(
         return None
 
     new_insns = [insns[i] for i in kept_sorted]
-    new_slots = _slot_prefix(new_insns)
+    new_slots = slot_prefix(new_insns)
     for j, old_t in old_targets.items():
         new_j = new_index[j]
         new_t = resolve(old_t)

@@ -10,7 +10,11 @@ from repro.api import (
     precision_summary,
 )
 from repro.bpf import assemble
+from repro.bpf.canon import CachedVerdict
 from repro.bpf.verifier import Verifier
+from repro.eval import gamma_bits
+from repro.fuzz import generate_program
+from repro.fuzz.generator import PROFILES
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
 REJECTED = "ldxdw r0, [r10-8]\nexit"   # uninitialized stack read
@@ -112,8 +116,10 @@ class TestVerdictShape:
 
 class TestPrecisionSummary:
     def test_aggregates_transfer_stream(self):
-        _, _, events = _verify(ACCEPTED)
-        summary = precision_summary(events)
+        _, result, events = _verify(ACCEPTED)
+        summary = precision_summary(
+            CachedVerdict.from_result(result, events).precision
+        )
         assert summary["transfers"] == len(events) > 0
         assert "add64" in summary["operators"]
         entry = summary["operators"]["add64"]
@@ -122,3 +128,29 @@ class TestPrecisionSummary:
 
     def test_empty_stream(self):
         assert precision_summary([]) == {"transfers": 0, "operators": {}}
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_folded_runs_render_the_stream(self, profile):
+        # The entry folds the stream once; rendering its runs must give
+        # the per-operator table the stream itself gives, in
+        # first-transfer order.
+        for seed in range(40):
+            program = generate_program(seed, profile).program
+            events = []
+            result = Verifier(
+                on_transfer=lambda i, label, s: events.append((i, label, s)),
+            ).verify(program)
+            expected = {}
+            for _i, label, scalar in events:
+                bits = gamma_bits(scalar)
+                entry = expected.setdefault(label, {
+                    "count": 0, "gamma_bits_sum": 0, "gamma_bits_max": 0,
+                })
+                entry["count"] += 1
+                entry["gamma_bits_sum"] += bits
+                entry["gamma_bits_max"] = max(entry["gamma_bits_max"], bits)
+            summary = precision_summary(
+                CachedVerdict.from_result(result, events).precision
+            )
+            assert summary == {"transfers": len(events), "operators": expected}
+            assert list(summary["operators"]) == list(expected)

@@ -40,7 +40,7 @@ def _put_walk(cache, text):
     ).verify(program)
     cache.put(
         (program.canonical_hash(), 64),
-        CachedVerdict.from_result(result, tuple(events)),
+        CachedVerdict.from_result(result, events),
     )
     return result
 
@@ -133,19 +133,22 @@ class TestVerifierWatchdog:
         error = result.errors[0]
         assert error.timeout and "deadline" in error.reason
 
-    def test_timeouts_are_never_cached(self):
+    def test_timeouts_are_never_cached(self, tmp_path):
         # The service holds the only verdict cache; a walk its watchdog
-        # stopped must not land there.
+        # stopped must not land there, nor in the store it saves.
+        store = str(tmp_path / "verdicts.json")
         request = VerifyRequest(program=assemble(ACCEPTED))
         faults.arm("seed=1,verify.hang=1:0.05")
-        with VerificationService(workers=1, request_timeout_s=0.01) as svc:
+        with VerificationService(
+            cache_path=store, workers=1, request_timeout_s=0.01
+        ) as svc:
             with pytest.raises(DeadlineExceeded):
                 svc.verify(request)
-        # close() waited for the abandoned walk.
+        # close() waited for the abandoned walk, then saved.
         assert len(svc.cache) == 0
         faults.disarm()
         # The next submission pays a full walk and gets the real verdict.
-        with VerificationService(cache=svc.cache, workers=1) as fresh:
+        with VerificationService(cache_path=store, workers=1) as fresh:
             verdict = fresh.verify(request)
             assert verdict.ok and not verdict.cached
-        assert len(svc.cache) == 1
+        assert len(fresh.cache) == 1

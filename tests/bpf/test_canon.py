@@ -82,14 +82,16 @@ def verdict_fingerprint(program, ctx_size=64):
 def cached_fingerprint(program, cache, ctx_size=64):
     """:func:`verdict_fingerprint` through ``cache``, as the service
     does it: a miss walks and puts ``CachedVerdict.from_result`` of the
-    walk, a hit rebuilds the fingerprint from the stored entry."""
+    walk, a hit rebuilds the fingerprint from the stored entry.  The
+    transfer stream shows as the precision runs an entry keeps."""
     key = (program.canonical_hash(), ctx_size)
     entry = cache.get(key)
     if entry is not None:
-        return fingerprint(entry.result(), entry.events)
+        return fingerprint(entry.result(), entry.precision)
     result, events = record_walk(program, ctx_size)
-    cache.put(key, CachedVerdict.from_result(result, tuple(events)))
-    return fingerprint(result, events)
+    entry = CachedVerdict.from_result(result, events)
+    cache.put(key, entry)
+    return fingerprint(result, entry.precision)
 
 
 def run_fingerprint(program, ctx):
@@ -379,7 +381,11 @@ class TestVerdictCache:
 
     def test_persistence_round_trip(self, tmp_path):
         cache = VerdictCache()
-        accepted, _ = self._twin("mov r0, 1\nexit")
+        # Two transfers of 8 γ-bits each, so the store has precision
+        # runs to lose.
+        accepted, _ = self._twin(
+            "ldxw r0, [r1+0]\nand r0, 255\nadd r0, 1\nexit"
+        )
         rejected, _ = self._twin("mov r0, r3\nexit")
         cached_fingerprint(accepted, cache)
         cached_fingerprint(rejected, cache)
@@ -387,10 +393,11 @@ class TestVerdictCache:
         cache.save(store)
         loaded = VerdictCache.load(store)
         assert loaded.to_payload() == cache.to_payload()
-        # A loaded entry serves hits with identical observable output.
-        assert cached_fingerprint(
-            Program(list(accepted.insns)), loaded
-        ) == verdict_fingerprint(accepted)
+        # A loaded entry serves hits with identical observable output,
+        # precision included: the same as a fresh walk gives.
+        reloaded = cached_fingerprint(Program(list(accepted.insns)), loaded)
+        assert reloaded == cached_fingerprint(accepted, VerdictCache())
+        assert reloaded[-1] == ["and64", 1, 8, 8, "add64", 1, 8, 8]
         assert loaded.hits == 1
 
     def test_load_missing_store_is_fresh(self, tmp_path):
@@ -425,6 +432,26 @@ class TestVerdictCache:
         message = str(exc.value)
         assert str(store) in message
         assert "malformed" in message
+
+    @pytest.mark.parametrize("precision", [
+        ["add64", 1, 8],           # not whole label, count, sum, max runs
+        ["add64", "1", 8, 8],      # a count that is not an integer
+    ], ids=["wrong-length", "non-integer-count"])
+    def test_load_malformed_precision_is_a_clear_error(
+        self, tmp_path, precision
+    ):
+        # Caught at load, not as a 500 when a hit renders the entry.
+        cache = VerdictCache()
+        cached_fingerprint(assemble("mov r0, 1\nadd r0, 2\nexit"), cache)
+        payload = cache.to_payload()
+        payload["entries"][0][2]["precision"] = precision
+        store = tmp_path / "verdicts.json"
+        store.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            VerdictCache.load(store)
+        message = str(exc.value)
+        assert str(store) in message and "precision" in message
+        assert "\n" not in message
 
     def test_load_non_dict_store_is_a_clear_error(self, tmp_path):
         store = tmp_path / "verdicts.json"

@@ -161,6 +161,33 @@ class TestBatchFold:
         assert reports[0].rejected_clean > 0
         assert any(s.tightness_count for s in reports[0].operators.values())
 
+    def test_fuzz_spec_ships_hex_only_with_violations(self, monkeypatch):
+        # repro fuzz's spec admits no mutation seeds, so the merge reads
+        # a program's hex only to shrink a violation into the corpus.
+        import repro.domains.product as product
+
+        real_add = product.tnum_add
+
+        def buggy_add(p: Tnum, q: Tnum) -> Tnum:
+            t = real_add(p, q)
+            if t.is_bottom():
+                return t
+            return Tnum(t.value & ~1, t.mask & ~1, t.width)
+
+        monkeypatch.setattr(product, "tnum_add", buggy_add)
+        _set_worker_state(fuzz_spec(budget=40, seed=0, profile="alu"), ())
+        results = _fuzz_batch(range(40), 0, False)
+        assert any(res["violations"] for res in results)
+        assert any(
+            (res["near_miss"] or res["rejected_but_clean"])
+            and not res["violations"]
+            for res in results
+        )
+        assert all(
+            ("bytecode_hex" in res) == bool(res["violations"])
+            for res in results
+        )
+
 
 class TestMutationFeedback:
     def test_mutants_fuzzed_after_round_one(self):

@@ -1,5 +1,6 @@
 """repro.faults: the deterministic fault-injection plan and its plumbing."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,6 +45,22 @@ class TestSpecGrammar:
     def test_empty_entries_ignored(self):
         plan = faults.FaultPlan.parse("seed=3,,verify.hang=0.1,")
         assert plan.seed == 3 and set(plan.rules) == {"verify.hang"}
+
+    def test_every_site_is_injected_somewhere(self):
+        # A site nothing fires arms fine and injects nothing, so a chaos
+        # run that arms it passes vacuously.  Every site name must
+        # appear as a string literal outside faults.py.
+        src = Path(faults.__file__).resolve().parent
+        literals = set()
+        for path in src.rglob("*.py"):
+            if path.name == "faults.py" and path.parent == src:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    literals.add(node.value)
+        assert sorted(set(faults.SITES) - literals) == []
 
 
 class TestDeterminism:
