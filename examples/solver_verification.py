@@ -44,7 +44,8 @@ def main() -> None:
     print()
     print("2. Exhaustive verification at width 4 (all 6561 tnum pairs)")
     print("-" * 66)
-    for op in ("add", "sub", "mul", "and", "or", "xor"):
+    for op in ("add", "sub", "mul", "kern_mul", "bitwise_mul", "and", "or",
+               "xor"):
         print(f"  {check_soundness(op, 4)}")
     print(f"  {check_optimality('add', 4)}")
     print(f"  {check_optimality('sub', 4)}")
@@ -53,7 +54,8 @@ def main() -> None:
     print()
     print("3. Randomized 64-bit soundness (the kernel's real width)")
     print("-" * 66)
-    for op in ("add", "sub", "mul", "and", "or", "xor", "lsh", "rsh", "arsh"):
+    for op in ("add", "sub", "mul", "kern_mul", "bitwise_mul", "and", "or",
+               "xor", "lsh", "rsh", "arsh"):
         print(f"  {random_check_operator(op, trials=2000)}")
 
     print()

@@ -116,6 +116,14 @@ def _add_program_flags(parser: argparse.ArgumentParser) -> None:
                         help="context size in bytes (default 64)")
 
 
+def _add_top_flag(parser: argparse.ArgumentParser, default: int,
+                  shown: str) -> None:
+    """The ``--top`` table-length flag (campaign, campaign-diff,
+    coordinate, stats); ``main`` rejects values below 1."""
+    parser.add_argument("--top", type=int, default=default,
+                        help=f"operators shown {shown} (default {default})")
+
+
 def _add_faults_flag(parser: argparse.ArgumentParser):
     """The shared ``--faults`` chaos switch; returns its group."""
     group = parser.add_argument_group("resilience")
@@ -182,8 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("check-op",
                            help="bounded verification of a tnum operator")
-    p_chk.add_argument("op", help="add, sub, mul, kern_mul, bitwise_mul, "
-                                  "and, or, xor, lsh, rsh, arsh, ...")
+    p_chk.add_argument("op", help="add, sub, mul (our_mul), kern_mul, "
+                                  "bitwise_mul, and, or, xor, div, mod, "
+                                  "neg, not, lsh, rsh or arsh; every method "
+                                  "checks each of them but sat, which has "
+                                  "no div, mod, neg or not circuit")
     p_chk.add_argument("--width", type=int, default=8)
     p_chk.add_argument("--method", choices=("sat", "exhaustive", "random"),
                        default="sat")
@@ -250,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--corpus", metavar="PATH",
                         help="write violations and mutation seeds to a "
                              "JSON corpus file")
-    p_camp.add_argument("--top", type=int, default=10,
-                        help="operators shown in the ranking (default 10)")
+    _add_top_flag(p_camp, 10, "in the ranking")
     p_camp.add_argument("--no-shrink", action="store_true",
                         help="skip counterexample minimization")
     _add_resilience_flags(p_camp)
@@ -291,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "as JSON (e.g. to refresh the baseline)")
     p_diff.add_argument("--markdown", metavar="PATH",
                         help="write the delta table as markdown")
-    p_diff.add_argument("--top", type=int, default=15,
-                        help="operators shown in the delta table "
-                             "(default 15)")
+    _add_top_flag(p_diff, 15, "in the delta table")
     p_diff.add_argument("--max-regression", type=float, default=0.05,
                         help="gate threshold: maximum tolerated "
                              "fractional tightness-mass increase "
@@ -390,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coord.add_argument("--corpus", metavar="PATH",
                          help="write violations and mutation seeds to a "
                               "JSON corpus file")
-    p_coord.add_argument("--top", type=int, default=10,
-                         help="operators shown in the ranking "
-                              "(default 10)")
+    _add_top_flag(p_coord, 10, "in the ranking")
     _add_faults_flag(p_coord)
     _add_obs_flags(p_coord)
 
@@ -418,9 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory a fuzz, campaign, serve, "
                               "coordinate or work run wrote with "
                               "--obs-dir")
-    p_stats.add_argument("--top", type=int, default=10,
-                         help="operators shown per timing table "
-                              "(default 10)")
+    _add_top_flag(p_stats, 10, "per timing table")
     p_stats.add_argument("--validate", action="store_true",
                          help="schema-check every trace.jsonl line; "
                               "exit 1 if any record is invalid")
@@ -603,8 +607,9 @@ def _cmd_check_op(args) -> int:
     from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS
     from repro.verify.sat import SUPPORTED_OPERATORS
 
-    # Each method knows its own operators; a check of width 0, or of no
-    # trials, would pass without checking anything.
+    # Each method checks every table operator it can (SAT: those with a
+    # circuit); a check of width 0, or of no trials, would pass without
+    # checking anything.
     known = (
         SUPPORTED_OPERATORS if args.method == "sat"
         else (*BINARY_OPS, *UNARY_OPS, *SHIFT_OPS)
@@ -625,18 +630,9 @@ def _cmd_check_op(args) -> int:
         print(report)
         return 0 if report.sound else 1
     if args.method == "exhaustive":
-        from repro.verify.exhaustive import (
-            check_shift_soundness,
-            check_soundness,
-            check_unary_soundness,
-        )
+        from repro.verify.exhaustive import check_soundness
 
-        if args.op in BINARY_OPS:
-            report = check_soundness(args.op, args.width)
-        elif args.op in UNARY_OPS:
-            report = check_unary_soundness(args.op, args.width)
-        else:
-            report = check_shift_soundness(args.op, args.width)
+        report = check_soundness(args.op, args.width)
         print(report)
         return 0 if report.holds else 1
     from repro.verify.random_check import random_check_operator
@@ -1278,6 +1274,9 @@ _DISPATCH = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "top", 1) < 1:
+        # Tables are cut with [:top]; below 1 that silently drops rows.
+        return _usage_error("--top must be >= 1")
     try:
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()

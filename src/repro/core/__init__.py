@@ -2,7 +2,9 @@
 
 Exports the :class:`Tnum` value type, the lattice operations, the Galois
 connection, and every abstract operator — including the paper's novel
-multiplication ``our_mul`` that was merged into the Linux kernel.
+multiplication ``our_mul`` that was merged into the Linux kernel.  The
+operator table the checkers read, :mod:`repro.core.ops`, is imported on
+its own: it loads the baseline multipliers.
 """
 
 from .arithmetic import tnum_add, tnum_neg, tnum_sub
@@ -25,7 +27,6 @@ from .lattice import (
     meet,
 )
 from .multiply import our_mul, our_mul_simplified, tnum_mul
-from .ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS, OpSpec, get_op
 from .shifts import (
     tnum_arshift,
     tnum_arshift_tnum,
@@ -34,12 +35,20 @@ from .shifts import (
     tnum_rshift,
     tnum_rshift_tnum,
 )
-from .tnum import DEFAULT_WIDTH, Tnum, mask_for_width
+from .tnum import (
+    DEFAULT_WIDTH,
+    Tnum,
+    mask_for_width,
+    random_member,
+    random_tnum,
+)
 
 __all__ = [
     "Tnum",
     "DEFAULT_WIDTH",
     "mask_for_width",
+    "random_tnum",
+    "random_member",
     # lattice
     "leq",
     "lt",
@@ -77,10 +86,4 @@ __all__ = [
     # division
     "tnum_div",
     "tnum_mod",
-    # registry
-    "OpSpec",
-    "BINARY_OPS",
-    "UNARY_OPS",
-    "SHIFT_OPS",
-    "get_op",
 ]

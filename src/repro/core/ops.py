@@ -1,22 +1,33 @@
-"""Operator registry pairing abstract tnum operators with their concrete
-counterparts.
+"""The one table of tnum operators: each name's abstract transformer, the
+concrete n-bit semantics it abstracts, and its kind.  The table is three
+dicts, one per kind (:data:`BINARY_OPS`, :data:`UNARY_OPS`,
+:data:`SHIFT_OPS`); :func:`get_op` finds a name in any of them.
 
-The verification substrate (:mod:`repro.verify`) and the BPF abstract
-interpreter both need to map an operation name to (a) the abstract
-transformer over tnums and (b) the concrete n-bit semantics it abstracts.
-Keeping that pairing in one table guarantees every component checks the
-same correspondence the paper's soundness predicate (Eqn. 11) quantifies
-over.
+Every soundness checker (:mod:`repro.verify`: exhaustive, random and
+SAT), ``repro check-op`` and the :mod:`repro.eval` harnesses look an
+operator up here, so they all check the correspondence the paper's
+soundness predicate (Eqn. 11) quantifies over.  The BPF abstract
+interpreter does not read it: the walk dispatches ``ScalarValue`` methods
+(``repro.bpf.verifier.absint``).
+
+``mul`` is the BPF op and the paper's ``our_mul``.  Its two baselines in
+Fig. 4 and Fig. 5, ``kern_mul`` (Listing 2) and ``bitwise_mul``
+(``bitwise_mul_opt``, Listing 5), share its concrete semantics.
 
 Shift counts follow BPF semantics: the concrete count is reduced modulo
 the width, and the abstract operator receives a *constant* shift (the
 tnum-valued shift variants live in :mod:`repro.core.shifts`).
+
+The table imports :mod:`repro.baselines`, so :mod:`repro.core` does not
+re-export it: the walk and the service import ``repro.core`` without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
+
+from repro.baselines import bitwise_mul_opt, kern_mul
 
 from .arithmetic import tnum_add, tnum_neg, tnum_sub
 from .bitwise import tnum_and, tnum_not, tnum_or, tnum_xor
@@ -104,6 +115,8 @@ BINARY_OPS: Dict[str, OpSpec] = {
         OpSpec("add", 2, tnum_add, _c_add),
         OpSpec("sub", 2, tnum_sub, _c_sub),
         OpSpec("mul", 2, our_mul, _c_mul),
+        OpSpec("kern_mul", 2, kern_mul, _c_mul),
+        OpSpec("bitwise_mul", 2, bitwise_mul_opt, _c_mul),
         OpSpec("and", 2, tnum_and, _c_and),
         OpSpec("or", 2, tnum_or, _c_or),
         OpSpec("xor", 2, tnum_xor, _c_xor),

@@ -29,12 +29,15 @@ Tnums here are immutable and hashable, so they can live in sets and dicts
 
 from __future__ import annotations
 
+import random
 from typing import Iterator, Optional, Tuple
 
 __all__ = [
     "Tnum",
     "DEFAULT_WIDTH",
     "mask_for_width",
+    "random_tnum",
+    "random_member",
 ]
 
 #: The bit width used by the Linux BPF verifier (and by default here).
@@ -335,3 +338,24 @@ class Tnum:
 
     def __str__(self) -> str:
         return self.to_trits()
+
+
+def random_tnum(rng: random.Random, width: int = DEFAULT_WIDTH) -> Tnum:
+    """A uniformly-drawn well-formed tnum of the given width.
+
+    The value is masked with the complement of the mask: every
+    ``(v & ~m, m)`` pair is well-formed, and every well-formed tnum is
+    reachable this way.
+    """
+    limit = mask_for_width(width)
+    mask = rng.randint(0, limit)
+    value = rng.randint(0, limit) & ~mask
+    return Tnum(value & limit, mask, width)
+
+
+def random_member(rng: random.Random, t: Tnum) -> int:
+    """A uniformly-drawn concrete member of γ(t)."""
+    if t.is_bottom():
+        raise ValueError("bottom tnum has no members")
+    fill = rng.randint(0, mask_for_width(t.width)) & t.mask
+    return t.value | fill

@@ -9,7 +9,6 @@ from .diff import (
     render_diff_markdown,
 )
 from .performance import (
-    PERF_ALGORITHMS,
     TimingResult,
     generate_pairs,
     speedup_summary,
@@ -49,7 +48,6 @@ __all__ = [
     "generate_pairs",
     "speedup_summary",
     "TimingResult",
-    "PERF_ALGORITHMS",
     "OperatorStats",
     "PrecisionReport",
     "REJECT_COST_BITS",

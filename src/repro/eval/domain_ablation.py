@@ -20,17 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.ops import get_op
 from repro.core.tnum import Tnum, mask_for_width
-from repro.core import (
-    our_mul,
-    tnum_add,
-    tnum_and,
-    tnum_lshift,
-    tnum_or,
-    tnum_rshift,
-    tnum_sub,
-    tnum_xor,
-)
 from repro.domains.interval import Interval
 from repro.domains.product import ScalarValue
 
@@ -38,9 +29,10 @@ __all__ = ["Expression", "random_expression", "evaluate_domains", "ablation_stud
 
 U64 = mask_for_width(64)
 
-# Each op: (name, concrete, tnum transformer, interval transformer,
-# product transformer). Interval bitwise ops fall back to top (that
-# domain simply cannot express them) — which is the point of the study.
+# Operator-table names (``mul`` is our_mul); shifts take a constant
+# amount below 8.  The concrete and tnum semantics come from the table.
+# Interval bitwise ops fall back to top (that domain simply cannot
+# express them) — which is the point of the study.
 _OPS = ("add", "sub", "mul", "and", "or", "xor", "lsh", "rsh")
 
 
@@ -60,23 +52,7 @@ class Expression:
             return self.value
         x = self.left.concrete(inputs)
         y = self.right.concrete(inputs)
-        if self.kind == "add":
-            return (x + y) & U64
-        if self.kind == "sub":
-            return (x - y) & U64
-        if self.kind == "mul":
-            return (x * y) & U64
-        if self.kind == "and":
-            return x & y
-        if self.kind == "or":
-            return x | y
-        if self.kind == "xor":
-            return x ^ y
-        if self.kind == "lsh":
-            return (x << (y & 7)) & U64
-        if self.kind == "rsh":
-            return x >> (y & 7)
-        raise ValueError(self.kind)
+        return get_op(self.kind)[1].concrete(x, y, 64)
 
     def size(self) -> int:
         if self.kind.startswith("leaf"):
@@ -109,15 +85,10 @@ def _eval_tnum(expr: Expression, inputs: List[Tnum]) -> Tnum:
     if expr.kind == "leaf_const":
         return Tnum.const(expr.value, 64)
     x = _eval_tnum(expr.left, inputs)
-    y = _eval_tnum(expr.right, inputs)
-    table = {
-        "add": tnum_add, "sub": tnum_sub, "mul": our_mul,
-        "and": tnum_and, "or": tnum_or, "xor": tnum_xor,
-    }
-    if expr.kind in table:
-        return table[expr.kind](x, y)
-    amount = expr.right.value & 7
-    return (tnum_lshift if expr.kind == "lsh" else tnum_rshift)(x, amount)
+    kind, spec = get_op(expr.kind)
+    if kind == "shift":
+        return spec.abstract(x, expr.right.value & 7)
+    return spec.abstract(x, _eval_tnum(expr.right, inputs))
 
 
 def _eval_interval(expr: Expression, inputs: List[Interval]) -> Interval:

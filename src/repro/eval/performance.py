@@ -20,27 +20,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import bitwise_mul_naive, bitwise_mul_opt, kern_mul
-from repro.core.multiply import our_mul
-from repro.core.tnum import Tnum
-from repro.verify.random_check import random_tnum
+from repro.baselines import bitwise_mul_naive
+from repro.core.tnum import Tnum, random_tnum
 
+from .precision import MUL_ALGORITHMS
 from .stats import cdf_points, summarize
 
 __all__ = [
     "TimingResult",
     "time_algorithms",
     "generate_pairs",
-    "PERF_ALGORITHMS",
     "speedup_summary",
 ]
-
-#: Algorithms timed in Fig. 5, plus the naive baseline quoted in §IV.B.
-PERF_ALGORITHMS: Dict[str, Callable[[Tnum, Tnum], Tnum]] = {
-    "kern_mul": kern_mul,
-    "bitwise_mul": bitwise_mul_opt,
-    "our_mul": our_mul,
-}
 
 
 def generate_pairs(
@@ -77,11 +68,13 @@ def time_algorithms(
 ) -> Dict[str, TimingResult]:
     """Time each algorithm on each pair; keep the min across ``trials``.
 
-    Matches the paper's methodology (min of 10 trials per input pair).
+    ``algorithms`` defaults to Fig. 5's three multipliers,
+    :data:`~repro.eval.precision.MUL_ALGORITHMS`.  Matches the paper's
+    methodology (min of 10 trials per input pair).
     ``include_naive`` adds the un-optimized bitwise_mul, which the paper
     quotes separately (≈12.7× slower than its optimized form).
     """
-    algos = dict(algorithms or PERF_ALGORITHMS)
+    algos = dict(algorithms or MUL_ALGORITHMS)
     if include_naive:
         algos["bitwise_mul_naive"] = bitwise_mul_naive
 

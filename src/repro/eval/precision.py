@@ -37,9 +37,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.baselines import bitwise_mul_opt, kern_mul
 from repro.core.lattice import enumerate_tnums, leq
-from repro.core.multiply import our_mul
+from repro.core.ops import BINARY_OPS
 from repro.core.tnum import Tnum
 
 from .stats import cdf_points, log2_ratio
@@ -59,11 +58,12 @@ __all__ = [
 
 MulFn = Callable[[Tnum, Tnum], Tnum]
 
-#: The three multiplication algorithms of §IV.
+#: The three multiplication algorithms of §IV, in Fig. 5's order, read
+#: from the operator table (where ``our_mul`` is ``mul``, the BPF op).
 MUL_ALGORITHMS: Dict[str, MulFn] = {
-    "our_mul": our_mul,
-    "kern_mul": kern_mul,
-    "bitwise_mul": bitwise_mul_opt,
+    "kern_mul": BINARY_OPS["kern_mul"].abstract,
+    "bitwise_mul": BINARY_OPS["bitwise_mul"].abstract,
+    "our_mul": BINARY_OPS["mul"].abstract,
 }
 
 

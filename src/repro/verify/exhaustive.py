@@ -1,10 +1,12 @@
 """Exhaustive bounded verification of tnum operators.
 
-The brute-force complement to the SAT pipeline: enumerate *all* 3^n × 3^n
-well-formed tnum pairs at width n and check the soundness predicate (and
-optionally optimality) against the concrete semantics.  At n ≤ 6 this is
-fast and serves as an independent oracle for both the operator
-implementations and the SAT encodings.
+The brute-force complement to the SAT pipeline: enumerate *all* operands
+of a table operator at width n (the 3^n × 3^n well-formed tnum pairs of
+a binary operator, each tnum of a unary one, each tnum with each
+constant amount of a shift) and check the soundness predicate (and, for
+binary operators, optionally optimality) against the concrete semantics.
+At n ≤ 6 this is fast and serves as an independent oracle for both the
+operator implementations and the SAT encodings.
 
 The paper ran Z3 to 64 bits for the linear operators; our substitution
 (documented in README.md's "Reproduction notes") is exhaustive checks
@@ -16,19 +18,17 @@ verification conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.galois import abstract
 from repro.core.lattice import enumerate_tnums
-from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS
+from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS, get_op
 from repro.core.tnum import Tnum, mask_for_width
 
 __all__ = [
     "ExhaustiveReport",
     "check_soundness",
     "check_optimality",
-    "check_unary_soundness",
-    "check_shift_soundness",
     "verify_all_operators",
 ]
 
@@ -42,7 +42,8 @@ class ExhaustiveReport:
     property_checked: str  # "soundness" or "optimality"
     holds: bool
     pairs_checked: int
-    counterexample: Optional[Tuple[Tnum, ...]] = None
+    #: The first failing operands: tnums, and a shift's constant amount.
+    counterexample: Optional[Tuple] = None
     failing_pairs: int = 0
 
     def __str__(self) -> str:
@@ -61,35 +62,56 @@ class ExhaustiveReport:
 def check_soundness(
     operator: str, width: int, stop_at_first: bool = True
 ) -> ExhaustiveReport:
-    """Exhaustively check Eqn. 8 for a binary operator at ``width``."""
-    spec = BINARY_OPS[operator]
-    tnums = enumerate_tnums(width)
+    """Exhaustively check Eqn. 8 for any table operator at ``width``.
+
+    A binary operator is checked on every tnum pair, a unary one on every
+    tnum, and a shift on every tnum with every constant amount.  Each
+    tnum's members are listed once.
+    """
+    kind, spec = get_op(operator)
+    abstract_op: Callable[..., Tnum] = spec.abstract
+    concrete_op: Callable[..., int] = spec.concrete
     limit = mask_for_width(width)
+    tnums = [(p, tuple(p.concretize())) for p in enumerate_tnums(width)]
+    # The second operands, each with its members.
+    seconds: Sequence[Tuple[Any, Tuple[Any, ...]]] = tnums
+    if kind == "shift":
+        # A constant amount is its own one member.
+        seconds = [(amount, (amount,)) for amount in range(width)]
+    elif kind == "unary":
+        # Checked as a binary operator that ignores its second operand,
+        # of which there is one placeholder.
+        seconds = [(None, (None,))]
+
+        def unary_abstract(p: Tnum, _: None) -> Tnum:
+            return spec.abstract(p)
+
+        def unary_concrete(x: int, _: None, width: int) -> int:
+            return spec.concrete(x, width)
+
+        abstract_op, concrete_op = unary_abstract, unary_concrete
+
     checked = 0
     failing = 0
     counterexample = None
-    for p in tnums:
-        gamma_p = list(p.concretize())
-        for q in tnums:
+    for p, xs in tnums:
+        for q, ys in seconds:
             checked += 1
-            r = spec.abstract(p, q)
-            bad = False
-            for x in gamma_p:
-                for y in q.concretize():
-                    if not r.contains(spec.concrete(x, y, width) & limit):
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                failing += 1
-                if counterexample is None:
-                    counterexample = (p, q)
-                if stop_at_first:
-                    return ExhaustiveReport(
-                        operator, width, "soundness", False, checked,
-                        counterexample, failing,
-                    )
+            r = abstract_op(p, q)
+            # z ∈ γ(r) iff z agrees with r.value on r's known bits; a
+            # bottom r (value == mask) holds no z.
+            value, known = r.value, ~r.mask & limit
+            if all(concrete_op(x, y, width) & known == value
+                   for x in xs for y in ys):
+                continue
+            failing += 1
+            if counterexample is None:
+                counterexample = (p,) if kind == "unary" else (p, q)
+            if stop_at_first:
+                return ExhaustiveReport(
+                    operator, width, "soundness", False, checked,
+                    counterexample, failing,
+                )
     return ExhaustiveReport(
         operator, width, "soundness", failing == 0, checked, counterexample, failing
     )
@@ -129,54 +151,17 @@ def check_optimality(
     )
 
 
-def check_unary_soundness(operator: str, width: int) -> ExhaustiveReport:
-    """Exhaustive soundness for neg/not."""
-    spec = UNARY_OPS[operator]
-    tnums = enumerate_tnums(width)
-    limit = mask_for_width(width)
-    checked = 0
-    for p in tnums:
-        checked += 1
-        r = spec.abstract(p)
-        for x in p.concretize():
-            if not r.contains(spec.concrete(x, width) & limit):
-                return ExhaustiveReport(
-                    operator, width, "soundness", False, checked, (p,), 1
-                )
-    return ExhaustiveReport(operator, width, "soundness", True, checked)
-
-
-def check_shift_soundness(operator: str, width: int) -> ExhaustiveReport:
-    """Exhaustive soundness for constant-amount shifts, all amounts."""
-    spec = SHIFT_OPS[operator]
-    tnums = enumerate_tnums(width)
-    limit = mask_for_width(width)
-    checked = 0
-    for p in tnums:
-        for amount in range(width):
-            checked += 1
-            r = spec.abstract(p, amount)
-            for x in p.concretize():
-                if not r.contains(spec.concrete(x, amount, width) & limit):
-                    return ExhaustiveReport(
-                        operator, width, "soundness", False, checked, (p,), 1
-                    )
-    return ExhaustiveReport(operator, width, "soundness", True, checked)
-
-
 def verify_all_operators(width: int = 4) -> Dict[str, ExhaustiveReport]:
     """Run the full §III-A verification table at one width.
 
-    Returns reports keyed by operator name.  Expected outcome (matching
-    the paper): every operator sound; add and sub also optimal.
+    Returns reports keyed by operator name, one per table operator.
+    Expected outcome (matching the paper): every operator sound; add and
+    sub also optimal.
     """
-    reports: Dict[str, ExhaustiveReport] = {}
-    for name in ("add", "sub", "mul", "and", "or", "xor", "div", "mod"):
-        reports[name] = check_soundness(name, width)
-    for name in ("neg", "not"):
-        reports[name] = check_unary_soundness(name, width)
-    for name in ("lsh", "rsh", "arsh"):
-        reports[name] = check_shift_soundness(name, width)
+    reports = {
+        name: check_soundness(name, width)
+        for name in (*BINARY_OPS, *UNARY_OPS, *SHIFT_OPS)
+    }
     reports["add-optimal"] = check_optimality("add", width)
     reports["sub-optimal"] = check_optimality("sub", width)
     return reports

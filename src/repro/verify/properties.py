@@ -1,28 +1,26 @@
-"""Soundness/optimality predicates and the paper's algebraic observations.
+"""The paper's algebraic observations about tnum operators.
 
 §III-A reports three non-obvious properties uncovered by bounded
 verification: tnum addition is **not associative**, addition and
 subtraction are **not inverses**, and tnum multiplication is **not
 commutative**.  The witness finders here rediscover all three by
-enumeration, and the predicates are the ground-truth definitions the
-exhaustive checker applies operator-by-operator.
+enumeration.  The soundness and optimality predicates themselves are
+:func:`repro.verify.exhaustive.check_soundness` and
+:func:`~repro.verify.exhaustive.check_optimality`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.galois import abstract
 from repro.core.lattice import enumerate_tnums
 from repro.core.multiply import our_mul
 from repro.core.arithmetic import tnum_add, tnum_sub
 from repro.core.tnum import Tnum, mask_for_width
 
 __all__ = [
-    "is_sound_on",
-    "is_optimal_on",
     "find_nonassociative_add",
     "find_noninverse_add_sub",
     "find_noncommutative_mul",
@@ -42,40 +40,6 @@ class Witness:
     def __str__(self) -> str:
         inputs = ", ".join(str(t) for t in self.tnums)
         return f"{self.description}: inputs ({inputs}) -> {self.lhs} vs {self.rhs}"
-
-
-def is_sound_on(
-    abstract_op: Callable[[Tnum, Tnum], Tnum],
-    concrete_op: Callable[[int, int], int],
-    p: Tnum,
-    q: Tnum,
-) -> bool:
-    """Check Eqn. 8 pointwise: every concrete result is in γ(opT(P, Q))."""
-    r = abstract_op(p, q)
-    limit = mask_for_width(p.width)
-    for x in p.concretize():
-        for y in q.concretize():
-            if not r.contains(concrete_op(x, y) & limit):
-                return False
-    return True
-
-
-def is_optimal_on(
-    abstract_op: Callable[[Tnum, Tnum], Tnum],
-    concrete_op: Callable[[int, int], int],
-    p: Tnum,
-    q: Tnum,
-) -> bool:
-    """Check maximal precision: opT(P, Q) equals α(opC(γ(P), γ(Q)))."""
-    if p.is_bottom() or q.is_bottom():
-        return abstract_op(p, q).is_bottom()
-    limit = mask_for_width(p.width)
-    outputs = [
-        concrete_op(x, y) & limit
-        for x in p.concretize()
-        for y in q.concretize()
-    ]
-    return abstract_op(p, q) == abstract(outputs, p.width)
 
 
 def find_nonassociative_add(width: int = 3) -> Optional[Witness]:

@@ -6,45 +6,24 @@ predicate that concrete results stay inside the abstract result.  This is
 the full-width complement to the exhaustive small-width checker — our SAT
 solver cannot reach 64 bits for the non-linear operators, so (as recorded
 in README.md's "Reproduction notes") random checking at width 64 covers
-the production configuration.
-
-Random tnum generation guarantees well-formedness by masking the value
-with the complement of the mask (every ``(v & ~m, m)`` pair is
-well-formed, and all well-formed tnums are reachable this way).
+the production configuration.  It checks every operator in the table,
+:mod:`repro.core.ops`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS
-from repro.core.tnum import Tnum, mask_for_width
+from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS, get_op
+from repro.core.tnum import mask_for_width, random_member, random_tnum
 
 __all__ = [
-    "random_tnum",
-    "random_member",
     "RandomCheckReport",
     "random_check_operator",
     "random_check_all",
 ]
-
-
-def random_tnum(rng: random.Random, width: int = 64) -> Tnum:
-    """A uniformly-drawn well-formed tnum of the given width."""
-    limit = mask_for_width(width)
-    mask = rng.randint(0, limit)
-    value = rng.randint(0, limit) & ~mask
-    return Tnum(value & limit, mask, width)
-
-
-def random_member(rng: random.Random, t: Tnum) -> int:
-    """A uniformly-drawn concrete member of γ(t)."""
-    if t.is_bottom():
-        raise ValueError("bottom tnum has no members")
-    fill = rng.randint(0, mask_for_width(t.width)) & t.mask
-    return t.value | fill
 
 
 @dataclass
@@ -79,65 +58,40 @@ def random_check_operator(
     seed: int = 0,
     members_per_tnum: int = 4,
 ) -> RandomCheckReport:
-    """Randomized soundness check for one operator at full width."""
+    """Randomized soundness check for one table operator at full width.
+
+    Each trial draws the tnum operands (``p``, then ``q`` for a binary
+    operator), then a shift's constant amount, then ``members_per_tnum``
+    times one member of each tnum operand.  The counterexample is the
+    first failing ``(*operands, *members, z, r)``.
+    """
+    kind, spec = get_op(operator)
     rng = random.Random(seed)
     limit = mask_for_width(width)
     report = RandomCheckReport(operator, width, trials, seed=seed)
-
-    if operator in BINARY_OPS:
-        spec = BINARY_OPS[operator]
-        for _ in range(trials):
-            p = random_tnum(rng, width)
-            q = random_tnum(rng, width)
-            r = spec.abstract(p, q)
-            for _ in range(members_per_tnum):
-                x = random_member(rng, p)
-                y = random_member(rng, q)
-                z = spec.concrete(x, y, width) & limit
-                if not r.contains(z):
-                    report.failures += 1
-                    if report.counterexample is None:
-                        report.counterexample = (p, q, x, y, z, r)
-        return report
-
-    if operator in UNARY_OPS:
-        spec = UNARY_OPS[operator]
-        for _ in range(trials):
-            p = random_tnum(rng, width)
-            r = spec.abstract(p)
-            for _ in range(members_per_tnum):
-                x = random_member(rng, p)
-                z = spec.concrete(x, width) & limit
-                if not r.contains(z):
-                    report.failures += 1
-                    if report.counterexample is None:
-                        report.counterexample = (p, x, z, r)
-        return report
-
-    if operator in SHIFT_OPS:
-        spec = SHIFT_OPS[operator]
-        for _ in range(trials):
-            p = random_tnum(rng, width)
-            amount = rng.randrange(width)
-            r = spec.abstract(p, amount)
-            for _ in range(members_per_tnum):
-                x = random_member(rng, p)
-                z = spec.concrete(x, amount, width) & limit
-                if not r.contains(z):
-                    report.failures += 1
-                    if report.counterexample is None:
-                        report.counterexample = (p, amount, x, z, r)
-        return report
-
-    raise KeyError(f"unknown operator {operator!r}")
+    tnum_operands = 2 if kind == "binary" else 1
+    for _ in range(trials):
+        operands: List[Any] = [
+            random_tnum(rng, width) for _ in range(tnum_operands)
+        ]
+        if kind == "shift":
+            operands.append(rng.randrange(width))
+        r = spec.abstract(*operands)
+        for _ in range(members_per_tnum):
+            members = [random_member(rng, t) for t in operands[:tnum_operands]]
+            z = spec.concrete(*members, *operands[tnum_operands:], width) & limit
+            if not r.contains(z):
+                report.failures += 1
+                if report.counterexample is None:
+                    report.counterexample = (*operands, *members, z, r)
+    return report
 
 
 def random_check_all(
     trials: int = 5_000, width: int = 64, seed: int = 0
 ) -> Dict[str, RandomCheckReport]:
-    """Randomized 64-bit soundness sweep across every operator."""
-    names = list(BINARY_OPS) + list(UNARY_OPS) + list(SHIFT_OPS)
+    """Randomized 64-bit soundness sweep across every table operator."""
     return {
         name: random_check_operator(name, trials=trials, width=width, seed=seed)
-        for name in names
+        for name in (*BINARY_OPS, *UNARY_OPS, *SHIFT_OPS)
     }

@@ -17,13 +17,17 @@ Where the paper used Z3's bit-vector theory, we bit-blast with
 as a circuit over the ``(value, mask)`` words — e.g. ``tnum_add`` becomes
 exactly the five machine additions/xors of Listing 1, and ``our_mul`` /
 ``kern_mul`` unroll their loops ``width`` times (the SSA unrolling
-described in Supplementary D).
+described in Supplementary D).  The circuits are keyed by the names of
+the operator table, :mod:`repro.core.ops`, whose kinds say which take a
+constant shift amount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.core.ops import get_op
 
 from .bitvector import BitVec, BitVecBuilder
 from .cnf import CNFBuilder
@@ -191,43 +195,26 @@ def _sym_bitwise_mul(bb: BitVecBuilder, p: SymTnum, q: SymTnum) -> SymTnum:
     return total
 
 
-# -- concrete operators as circuits ----------------------------------------------
+# -- the table operators that have a circuit -----------------------------------
 
-_CONCRETE: Dict[str, Callable] = {
-    "add": lambda bb, x, y: bb.add(x, y),
-    "sub": lambda bb, x, y: bb.sub(x, y),
-    "mul": lambda bb, x, y: bb.mul(x, y),
-    "kern_mul": lambda bb, x, y: bb.mul(x, y),
-    "bitwise_mul": lambda bb, x, y: bb.mul(x, y),
-    "and": lambda bb, x, y: bb.and_(x, y),
-    "or": lambda bb, x, y: bb.or_(x, y),
-    "xor": lambda bb, x, y: bb.xor(x, y),
+#: Table name (:mod:`repro.core.ops`) → (abstract circuit, concrete circuit).
+#: A shift's circuits take a constant amount in place of ``Q`` and ``y``.
+#: There is no div, mod, neg or not circuit.
+_CIRCUITS: Dict[str, Tuple[Callable, Callable]] = {
+    "add": (_sym_tnum_add, BitVecBuilder.add),
+    "sub": (_sym_tnum_sub, BitVecBuilder.sub),
+    "mul": (_sym_our_mul, BitVecBuilder.mul),
+    "kern_mul": (_sym_kern_mul, BitVecBuilder.mul),
+    "bitwise_mul": (_sym_bitwise_mul, BitVecBuilder.mul),
+    "and": (_sym_tnum_and, BitVecBuilder.and_),
+    "or": (_sym_tnum_or, BitVecBuilder.or_),
+    "xor": (_sym_tnum_xor, BitVecBuilder.xor),
+    "lsh": (_sym_tnum_lshift, BitVecBuilder.shl_const),
+    "rsh": (_sym_tnum_rshift, BitVecBuilder.shr_const),
+    "arsh": (_sym_tnum_arshift, BitVecBuilder.ashr_const),
 }
 
-_ABSTRACT: Dict[str, Callable] = {
-    "add": _sym_tnum_add,
-    "sub": _sym_tnum_sub,
-    "mul": _sym_our_mul,
-    "kern_mul": _sym_kern_mul,
-    "bitwise_mul": _sym_bitwise_mul,
-    "and": _sym_tnum_and,
-    "or": _sym_tnum_or,
-    "xor": _sym_tnum_xor,
-}
-
-_SHIFT_ABSTRACT: Dict[str, Callable] = {
-    "lsh": _sym_tnum_lshift,
-    "rsh": _sym_tnum_rshift,
-    "arsh": _sym_tnum_arshift,
-}
-
-_SHIFT_CONCRETE: Dict[str, Callable] = {
-    "lsh": lambda bb, x, k: bb.shl_const(x, k),
-    "rsh": lambda bb, x, k: bb.shr_const(x, k),
-    "arsh": lambda bb, x, k: bb.ashr_const(x, k),
-}
-
-SUPPORTED_OPERATORS = tuple(sorted(set(_ABSTRACT) | set(_SHIFT_ABSTRACT)))
+SUPPORTED_OPERATORS = tuple(sorted(_CIRCUITS))
 
 
 def check_operator_soundness(
@@ -241,6 +228,10 @@ def check_operator_soundness(
     For shift operators, ``shift_amount`` fixes the count (default: checks
     every count 0..width-1 in one conjoined query).
     """
+    kind, _ = get_op(operator)
+    if operator not in _CIRCUITS:
+        raise KeyError(f"unsupported operator {operator!r}")
+    abstract_op, concrete_op = _CIRCUITS[operator]
     cnf = CNFBuilder()
     bb = BitVecBuilder(cnf, width)
 
@@ -255,8 +246,9 @@ def check_operator_soundness(
 
     cnf.assert_lit(wellformed(p))
     cnf.assert_lit(member(x, p))
+    words = {"P.v": p.v, "P.m": p.m}
 
-    if operator in _SHIFT_ABSTRACT:
+    if kind == "shift":
         amounts = (
             [shift_amount] if shift_amount is not None else list(range(width))
         )
@@ -264,41 +256,22 @@ def check_operator_soundness(
         # violates membership; UNSAT means all amounts are sound.
         violations = []
         for amount in amounts:
-            r = _SHIFT_ABSTRACT[operator](bb, p, amount)
-            z = _SHIFT_CONCRETE[operator](bb, x, amount)
+            r = abstract_op(bb, p, amount)
+            z = concrete_op(bb, x, amount)
             violations.append(-member(z, r))
         cnf.assert_lit(cnf.gate_or_many(violations))
-        solver = Solver(cnf.num_vars, cnf.clauses)
-        result = solver.solve(max_conflicts=max_conflicts)
-        report = SoundnessReport(
-            operator,
-            width,
-            sound=not result.sat,
-            num_vars=cnf.num_vars,
-            num_clauses=len(cnf.clauses),
-        )
-        if result.sat:
-            report.counterexample = {
-                "P.v": bb.value_of(p.v, result),
-                "P.m": bb.value_of(p.m, result),
-                "x": bb.value_of(x, result),
-            }
-        return report
+        words["x"] = x
+    else:
+        q = SymTnum(bb.var(), bb.var())
+        y = bb.var()
+        cnf.assert_lit(wellformed(q))
+        cnf.assert_lit(member(y, q))
+        r = abstract_op(bb, p, q)
+        z = concrete_op(bb, x, y)
+        cnf.assert_lit(-member(z, r))
+        words.update({"Q.v": q.v, "Q.m": q.m, "x": x, "y": y})
 
-    if operator not in _ABSTRACT:
-        raise KeyError(f"unsupported operator {operator!r}")
-
-    q = SymTnum(bb.var(), bb.var())
-    y = bb.var()
-    cnf.assert_lit(wellformed(q))
-    cnf.assert_lit(member(y, q))
-
-    r = _ABSTRACT[operator](bb, p, q)
-    z = _CONCRETE[operator](bb, x, y)
-    cnf.assert_lit(-member(z, r))
-
-    solver = Solver(cnf.num_vars, cnf.clauses)
-    result = solver.solve(max_conflicts=max_conflicts)
+    result = Solver(cnf.num_vars, cnf.clauses).solve(max_conflicts=max_conflicts)
     report = SoundnessReport(
         operator,
         width,
@@ -308,11 +281,6 @@ def check_operator_soundness(
     )
     if result.sat:
         report.counterexample = {
-            "P.v": bb.value_of(p.v, result),
-            "P.m": bb.value_of(p.m, result),
-            "Q.v": bb.value_of(q.v, result),
-            "Q.m": bb.value_of(q.m, result),
-            "x": bb.value_of(x, result),
-            "y": bb.value_of(y, result),
+            name: bb.value_of(word, result) for name, word in words.items()
         }
     return report

@@ -9,8 +9,10 @@ from repro.core.tnum import Tnum
 class TestRegistryCompleteness:
     def test_covers_every_bpf_alu_op_the_analyzer_models(self):
         # §II-B lists the BPF concrete ops; div/mod are conservative.
+        # kern_mul and bitwise_mul are Fig. 4/5's baselines for mul.
         assert set(BINARY_OPS) == {
             "add", "sub", "mul", "and", "or", "xor", "div", "mod",
+            "kern_mul", "bitwise_mul",
         }
         assert set(UNARY_OPS) == {"neg", "not"}
         assert set(SHIFT_OPS) == {"lsh", "rsh", "arsh"}

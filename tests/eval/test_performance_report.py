@@ -3,12 +3,15 @@
 import pytest
 
 from repro.eval.performance import (
-    PERF_ALGORITHMS,
     generate_pairs,
     speedup_summary,
     time_algorithms,
 )
-from repro.eval.precision import compare_precision, precision_cdf
+from repro.eval.precision import (
+    MUL_ALGORITHMS,
+    compare_precision,
+    precision_cdf,
+)
 from repro.eval.report import (
     render_cdf_ascii,
     render_comparison,
@@ -38,7 +41,7 @@ class TestTiming:
         return time_algorithms(generate_pairs(40, seed=0), trials=3)
 
     def test_all_algorithms_timed(self, results):
-        assert set(results) == set(PERF_ALGORITHMS)
+        assert set(results) == set(MUL_ALGORITHMS)
         for result in results.values():
             assert len(result.per_pair_ns) == 40
             assert all(t > 0 for t in result.per_pair_ns)

@@ -565,6 +565,16 @@ class TestResilienceFlags:
          "--ctx-size must be <= 65536"),
         (["analyze", "PROGRAM", "--ctx-size", "65537"],
          "--ctx-size must be <= 65536"),
+        # Tables cut to --top rows: [:0] shows none, [:-1] drops the last.
+        (["campaign", "--budget", "20", "--rounds", "1", "--top", "0"],
+         "--top must be >= 1"),
+        (["campaign", "--budget", "20", "--rounds", "1", "--top", "-1"],
+         "--top must be >= 1"),
+        (["campaign-diff", BASELINE, "--budget", "20", "--top", "0"],
+         "--top must be >= 1"),
+        (["coordinate", "--state", "PROGRAM", "--top", "0"],
+         "--top must be >= 1"),
+        (["stats", "PROGRAM", "--top", "-1"], "--top must be >= 1"),
     ])
     def test_run_that_checks_nothing_is_usage_error(
             self, command, message, safe_file, capsys):

@@ -1,12 +1,21 @@
 """Tests for the SAT soundness encoding (Eqn. 11) — §III-A reproduced."""
 
+import random
+
 import pytest
 
-from repro.core.tnum import Tnum
+from repro.core.lattice import enumerate_tnums
+from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS, get_op
+from repro.core.tnum import Tnum, random_tnum
 from repro.verify.sat import SUPPORTED_OPERATORS, check_operator_soundness
 from repro.verify.sat.bitvector import BitVecBuilder
 from repro.verify.sat.cnf import CNFBuilder
-from repro.verify.sat.encode import SymTnum, _sym_tnum_add, _sym_our_mul
+from repro.verify.sat.encode import (
+    _CIRCUITS,
+    SymTnum,
+    _sym_our_mul,
+    _sym_tnum_add,
+)
 from repro.verify.sat.solver import Solver
 
 
@@ -132,3 +141,52 @@ class TestPlantedBugs:
         assert model.sat
         assert bb.value_of(sr.v, model) == expected.value
         assert bb.value_of(sr.m, model) == expected.mask
+
+
+class TestCircuitsComputeTableOperators:
+    """Each circuit SAT checks is the table operator the repo runs.
+
+    On constant operands every gate folds, so the circuit's output is a
+    constant that must equal the table's ``abstract`` on the same tnums;
+    a drifted circuit would let SAT prove an algorithm nothing runs.
+    """
+
+    def test_supported_operators_are_table_operators(self):
+        assert set(SUPPORTED_OPERATORS) <= {*BINARY_OPS, *UNARY_OPS, *SHIFT_OPS}
+
+    @staticmethod
+    def mismatches(name, width, cases):
+        kind, spec = get_op(name)
+        circuit, _ = _CIRCUITS[name]
+        bad = []
+        for p, second in cases:
+            bb = BitVecBuilder(CNFBuilder(), width)
+
+            def sym(t):
+                return SymTnum(bb.const(t.value), bb.const(t.mask))
+
+            r = circuit(bb, sym(p), second if kind == "shift" else sym(second))
+            got = (bb.value_of(r.v, None), bb.value_of(r.m, None))
+            want = spec.abstract(p, second)
+            if got != (want.value, want.mask):
+                bad.append((p, second, got, want))
+        return bad
+
+    @pytest.mark.parametrize("name", SUPPORTED_OPERATORS)
+    def test_every_operand_at_width3(self, name):
+        tnums = enumerate_tnums(3)
+        seconds = range(3) if name in SHIFT_OPS else tnums
+        cases = [(p, second) for p in tnums for second in seconds]
+        assert self.mismatches(name, 3, cases) == []
+
+    @pytest.mark.parametrize("name", SUPPORTED_OPERATORS)
+    def test_sampled_operands_at_width6(self, name):
+        rng = random.Random(6)
+        cases = []
+        for _ in range(300):
+            p = random_tnum(rng, 6)
+            if name in SHIFT_OPS:
+                cases.extend((p, amount) for amount in range(6))
+            else:
+                cases.append((p, random_tnum(rng, 6)))
+        assert self.mismatches(name, 6, cases) == []

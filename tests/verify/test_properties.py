@@ -1,49 +1,12 @@
-"""Tests for the algebraic-property witnesses and predicates (§III-A)."""
+"""Tests for the algebraic-property witnesses (§III-A)."""
 
 from repro.core.arithmetic import tnum_add, tnum_sub
 from repro.core.multiply import our_mul
-from repro.core.tnum import Tnum
 from repro.verify.properties import (
     find_nonassociative_add,
     find_noncommutative_mul,
     find_noninverse_add_sub,
-    is_optimal_on,
-    is_sound_on,
 )
-
-
-class TestPredicates:
-    def test_is_sound_on_add(self):
-        p = Tnum.from_trits("1µ0", width=4)
-        q = Tnum.from_trits("0µ1", width=4)
-        assert is_sound_on(tnum_add, lambda x, y: x + y, p, q)
-
-    def test_is_sound_on_detects_bug(self):
-        def bogus(p, q):
-            return Tnum.const(0, p.width)
-
-        p = Tnum.const(1, 4)
-        q = Tnum.const(2, 4)
-        assert not is_sound_on(bogus, lambda x, y: x + y, p, q)
-
-    def test_is_optimal_on_add(self):
-        p = Tnum.from_trits("µ01", width=4)
-        q = Tnum.from_trits("01µ", width=4)
-        assert is_optimal_on(tnum_add, lambda x, y: x + y, p, q)
-
-    def test_is_optimal_on_detects_slack(self):
-        def sloppy(p, q):
-            return Tnum.unknown(p.width)
-
-        p = Tnum.const(1, 4)
-        q = Tnum.const(2, 4)
-        assert is_sound_on(sloppy, lambda x, y: x + y, p, q)
-        assert not is_optimal_on(sloppy, lambda x, y: x + y, p, q)
-
-    def test_optimality_on_bottom(self):
-        assert is_optimal_on(
-            tnum_add, lambda x, y: x + y, Tnum.bottom(4), Tnum.const(0, 4)
-        )
 
 
 class TestObservationWitnesses:
