@@ -8,9 +8,11 @@ a sweep, or joins one without a frozen digest, fails too.
 
 The families cover ``repro check-op`` for every operator each method
 accepts (exhaustive at width 3, SAT at width 4, random at widths 8 and
-64), the exhaustive and random sweeps, one planted unsound operator of
-each kind (binary, unary, shift) through the exhaustive and random
-checks, and the Fig. 4 / Table I / domain-ablation outputs.
+64), the exhaustive and random sweeps, exhaustive optimality of every
+binary operator at width 3 (to the first failure, and over every
+pair), one planted unsound operator of each kind (binary, unary,
+shift) through the exhaustive and random checks, and the Fig. 4 /
+Table I / domain-ablation outputs.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from repro.cli import main
 from repro.core import ops
 from repro.core.tnum import Tnum, mask_for_width
 from repro.eval.domain_ablation import ablation_study
-from repro.verify.exhaustive import verify_all_operators
+from repro.verify.exhaustive import check_optimality, verify_all_operators
 from repro.verify.random_check import random_check_all, random_check_operator
 from repro.verify.sat import SUPPORTED_OPERATORS
 
@@ -82,6 +84,18 @@ def test_exhaustive_sweep_frozen():
     reports = verify_all_operators(3)
     check_family("sweep exhaustive 3",
                  {name: exhaustive_text(r) for name, r in reports.items()})
+
+
+@pytest.mark.parametrize("stop_at_first,case", [
+    (True, "first"), (False, "all"),
+])
+def test_optimality_frozen(stop_at_first, case):
+    check_family(f"optimality 3 {case}", {
+        name: exhaustive_text(
+            check_optimality(name, 3, stop_at_first=stop_at_first)
+        )
+        for name in ops.BINARY_OPS
+    })
 
 
 def test_random_sweep_frozen():
