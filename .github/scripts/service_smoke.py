@@ -74,6 +74,28 @@ def check_error_shape(label, body):
           and isinstance(error.get("message"), str), body)
 
 
+def exposition_problem(text):
+    """The first way ``text`` breaks the Prometheus text format's
+    grouping, or None: each family has one ``# TYPE`` line, and its
+    samples follow that line in one contiguous run."""
+    families = set()
+    current = None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            current = line.split()[2]
+            if current in families:
+                return f"repeated TYPE for {current}"
+            families.add(current)
+        elif line and not line.startswith("#"):
+            name = line.split("{")[0].split()[0]
+            if current is None or name not in (
+                current, f"{current}_bucket", f"{current}_sum",
+                f"{current}_count",
+            ):
+                return f"{name} is not in the run of family {current}"
+    return None
+
+
 def restarted(base):
     status, body = post_wire(base, GOOD_WIRE)
     check("restarted POST status", status == 200, (status, body))
@@ -168,6 +190,9 @@ def main():
           "repro_api_requests_total" in text
           and "repro_api_cache_hits_total" in text,
           text.splitlines()[:5])
+    problem = exposition_problem(text)
+    check("metrics: one TYPE line and one run per family",
+          problem is None, problem)
 
     # A program with transfers, so the store saved at shutdown holds a
     # non-empty precision summary for --restarted to compare.

@@ -18,7 +18,8 @@ limits, socket timeouts and 500s; this module owns the routes:
   single-flight inflight, cache hits/misses/evictions) plus the obs
   registry snapshot when observability is enabled.
 * ``GET /metrics`` — Prometheus text: ``repro_api_*`` service counters
-  always, plus the full obs registry when observability is enabled.
+  always, plus the obs registry when observability is enabled, all
+  rendered by :meth:`repro.obs.Registry.render_prometheus`.
 
 Under pressure the server degrades structurally instead of collapsing
 (see ``docs/resilience.md``): a full work queue answers **503**
@@ -136,25 +137,26 @@ class ApiServer(HttpServer):
 
 
 def _metrics_payload(service: VerificationService) -> str:
-    """``repro_api_*`` counters, plus the obs registry when enabled."""
+    """``repro_api_*`` counters, plus the obs registry when enabled.
+
+    The service's numbers go into a throwaway registry so that
+    :meth:`~repro.obs.Registry.render_prometheus` is the one renderer.
+    """
     stats = service.stats()
     cache = stats["cache"]
-    lines = []
+    registry = _obs.Registry()
     for name, value in (
-        ("repro_api_requests_total", stats["requests"]),
-        ("repro_api_verifications_total", stats["verifications"]),
-        ("repro_api_rejections_total", stats["rejections"]),
-        ("repro_api_shed_total", stats["shed"]),
-        ("repro_api_timeouts_total", stats["timeouts"]),
-        ("repro_api_cache_hits_total", cache["hits"]),
-        ("repro_api_cache_misses_total", cache["misses"]),
-        ("repro_api_cache_evictions_total", cache["evictions"]),
+        ("requests", stats["requests"]),
+        ("verifications", stats["verifications"]),
+        ("rejections", stats["rejections"]),
+        ("shed", stats["shed"]),
+        ("timeouts", stats["timeouts"]),
+        ("cache.hits", cache["hits"]),
+        ("cache.misses", cache["misses"]),
+        ("cache.evictions", cache["evictions"]),
     ):
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {value}")
-    lines.append("# TYPE repro_api_cache_entries gauge")
-    lines.append(f"repro_api_cache_entries {cache['entries']}")
-    body = "\n".join(lines) + "\n"
+        registry.counter(f"api.{name}").inc(value)
+    registry.gauge("api.cache.entries").set(cache["entries"])
     if _obs.enabled():
-        body += _obs.default_registry().render_prometheus()
-    return body
+        registry.merge(_obs.default_registry())
+    return registry.render_prometheus()

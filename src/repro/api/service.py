@@ -31,9 +31,10 @@ precision runs.
 
 All cache and counter access is serialized on one lock —
 :class:`~repro.bpf.canon.VerdictCache` is an ``OrderedDict`` LRU and
-not itself thread-safe.  With observability enabled the cache ticks its
-own ``verdict_cache.*`` counters and this class adds ``api.*`` request
-counters, so ``/metrics`` and ``/stats`` surface both for free.
+not itself thread-safe.  The request counters here and the cache's own
+hits, misses and evictions are the only copies: :meth:`stats` serves
+them to ``/stats`` and ``/metrics``, and :meth:`summary_line` to the
+shutdown line.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults as _faults
-from repro import obs as _obs
 from repro.bpf.canon import CachedVerdict, VerdictCache
 from repro.bpf.verifier import Verifier
 
@@ -167,7 +167,6 @@ class VerificationService:
         """
         with self._lock:
             self.requests += 1
-        self._count("requests")
         key: CacheKey = (
             request.program.canonical_hash(), request.ctx_size,
         )
@@ -226,7 +225,6 @@ class VerificationService:
                 # Rough drain estimate: queue depth over pool width,
                 # floored at 1s — advisory, not a promise.
                 retry_after = max(1, round(self._queued / self.workers))
-                self._count("shed")
                 raise ServiceOverloaded(retry_after)
             self._queued += 1
 
@@ -256,7 +254,6 @@ class VerificationService:
     def _deadline(self) -> DeadlineExceeded:
         with self._lock:
             self.timeouts += 1
-        self._count("timeouts")
         return DeadlineExceeded(
             f"verification exceeded the service's "
             f"{self.request_timeout_s:g}s deadline"
@@ -276,7 +273,6 @@ class VerificationService:
     def note_rejection(self) -> None:
         with self._lock:
             self.rejections += 1
-        self._count("rejections")
 
     # -- verification workers -----------------------------------------------
 
@@ -306,7 +302,6 @@ class VerificationService:
             self.verifications += 1
             if not request.want_states or key not in self.cache:
                 self.cache.put(key, entry)
-        self._count("verifications")
         if not request.want_states:
             return entry, None
         return entry, {
@@ -396,7 +391,3 @@ class VerificationService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _count(self, name: str) -> None:
-        if _obs.enabled():
-            _obs.default_registry().counter(f"api.{name}").inc()

@@ -379,10 +379,10 @@ class VerdictCache:
     Lookup order is the recency order: :meth:`get` refreshes an entry,
     :meth:`put` inserts at the newest position and evicts the least
     recently used entry past ``max_entries``.  ``hits`` / ``misses`` /
-    ``evictions`` count this instance's traffic; with observability on,
-    the same events tick the ``verdict_cache.*`` counters and a
-    ``cache``/``lookup`` timer in the obs registry (so they surface in
-    ``repro stats`` and ``/metrics`` automatically).
+    ``evictions`` count this instance's traffic, and are the only copy:
+    the service serves them on ``/stats``, ``/metrics`` and its shutdown
+    line.  With observability on, :meth:`get` also times each lookup
+    into the obs registry's ``cache``/``lookup`` timer.
 
     The JSON payload (:meth:`to_payload` / :meth:`from_payload`) is the
     persistent store, written by :meth:`save` and read by :meth:`load`.
@@ -421,19 +421,13 @@ class VerdictCache:
             t0 = time.perf_counter_ns()
             entry = entries.get(key)
             _obs.record_op_time("cache", "lookup", time.perf_counter_ns() - t0)
-            counter = _obs.default_registry().counter
         else:
             entry = entries.get(key)
-            counter = None
         if entry is None:
             self.misses += 1
-            if counter is not None:
-                counter("verdict_cache.misses").inc()
             return None
         entries.move_to_end(key)
         self.hits += 1
-        if counter is not None:
-            counter("verdict_cache.hits").inc()
         return entry
 
     def put(self, key: CacheKey, entry: CachedVerdict) -> None:
@@ -443,10 +437,6 @@ class VerdictCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.evictions += 1
-            if _obs.enabled():
-                _obs.default_registry().counter(
-                    "verdict_cache.evictions"
-                ).inc()
 
     # -- persistence --------------------------------------------------------
 

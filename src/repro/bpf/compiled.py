@@ -20,11 +20,19 @@ agreed with this engine on every case.
 
 Exit closures return :data:`EXIT_INDEX` (-1); the run loop treats any
 negative next-index as program exit.
+
+Compiling never looks at :mod:`repro.obs`.  A run with obs on asks for
+:meth:`CompiledProgram.timed_steps`, which wraps each closure in a
+per-operator timer the first time and keeps the wrapped list, so a run
+with obs off executes the bare closures.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, TYPE_CHECKING
+import time
+from typing import Callable, List, Optional, TYPE_CHECKING
+
+from repro import obs as _obs
 
 from . import isa
 from .insn import Instruction
@@ -60,18 +68,35 @@ StepFn = Callable[["Machine", List[int]], int]
 class CompiledProgram:
     """Dense decoded form: one step closure + source slot per instruction."""
 
-    __slots__ = ("steps", "slots", "total_slots")
+    __slots__ = ("steps", "slots", "total_slots", "_insns", "_timed")
 
     def __init__(
-        self, steps: List[StepFn], slots: List[int], total_slots: int
+        self,
+        steps: List[StepFn],
+        slots: List[int],
+        total_slots: int,
+        insns: List[Instruction],
     ) -> None:
         self.steps = steps
         #: slot address per instruction index — error paths only.
         self.slots = slots
         self.total_slots = total_slots
+        self._insns = insns
+        self._timed: Optional[List[StepFn]] = None
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def timed_steps(self) -> List[StepFn]:
+        """``steps``, each wrapped to record its time in an ``interp``
+        timer; built on the first run with obs on, then kept."""
+        timed = self._timed
+        if timed is None:
+            timed = self._timed = [
+                _timed_step(step, _concrete_label(insn))
+                for step, insn in zip(self.steps, self._insns)
+            ]
+        return timed
 
 
 # -- ALU op kernels ----------------------------------------------------------
@@ -433,15 +458,11 @@ def _concrete_label(insn: Instruction) -> str:
 
 
 def _timed_step(step: StepFn, label: str) -> StepFn:
-    """Per-op timing shim, compiled in only when obs is enabled.
+    """Per-op timing shim for runs with obs on.
 
     The registry is resolved through the obs module at call time so
     worker-scoped registries (merge-on-return) receive the samples.
     """
-    import time
-
-    from repro import obs as _obs
-
     clock = time.perf_counter_ns
     record = _obs.record_op_time
 
@@ -456,25 +477,11 @@ def _timed_step(step: StepFn, label: str) -> StepFn:
 
 
 def compile_program(program: "Program") -> CompiledProgram:
-    """Decode every instruction exactly once into step closures.
-
-    When :mod:`repro.obs` is enabled at compile time, each closure is
-    wrapped in a per-operator timing shim; with obs disabled (default)
-    the compiled program is exactly the bare closures — the hot loop
-    never pays for instrumentation it didn't ask for.  The cache in
-    :meth:`repro.bpf.program.Program.compiled` is keyed on the obs
-    compile tag, so toggling recompiles transparently.
-    """
-    from repro import obs as _obs
-
-    instrument = _obs.enabled()
+    """Decode every instruction exactly once into step closures."""
     steps: List[StepFn] = []
     slots: List[int] = []
     for idx, insn in enumerate(program.insns):
         pc = program.slot_of(idx)
         slots.append(pc)
-        step = _compile_insn(program, insn, idx, pc)
-        if instrument:
-            step = _timed_step(step, _concrete_label(insn))
-        steps.append(step)
-    return CompiledProgram(steps, slots, program.total_slots)
+        steps.append(_compile_insn(program, insn, idx, pc))
+    return CompiledProgram(steps, slots, program.total_slots, program.insns)

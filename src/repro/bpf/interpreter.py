@@ -13,16 +13,20 @@ pointer arithmetic honest (r10-8 really is an address) while letting the
 machine detect out-of-bounds accesses.
 
 :meth:`Machine.run` executes the program's decode-once compiled form
-(:mod:`repro.bpf.compiled`), one closure call per step.  Its outputs are
-pinned by a frozen golden (``tests/bpf/test_compiled.py``), recorded
-while a decode-every-step reference interpreter still ran beside it and
-agreed on every case.
+(:mod:`repro.bpf.compiled`), one closure call per step; with
+:mod:`repro.obs` on, it runs the timed closures instead, chosen once per
+run as :meth:`~repro.bpf.verifier.Verifier.verify` chooses its loop.
+Its outputs are pinned by a frozen golden (``tests/bpf/test_compiled.py``),
+recorded while a decode-every-step reference interpreter still ran
+beside it and agreed on every case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+from repro import obs as _obs
 
 from . import isa
 from .program import Program, ProgramError
@@ -107,10 +111,11 @@ class Machine:
         instruction executes — the observation point differential oracles
         compare against the verifier's per-instruction entry states, and
         the one way to trace a run.  Without it the run takes a hot loop
-        that makes one closure call per step and nothing else.
+        that makes one closure call per step and nothing else.  With obs
+        on, each step's time goes to an ``interp`` timer.
         """
         compiled = program.compiled()
-        code = compiled.steps
+        code = compiled.timed_steps() if _obs.enabled() else compiled.steps
         slots = compiled.slots
         n = len(code)
         regs = self.regs = [0] * isa.MAX_REG

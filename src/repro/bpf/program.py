@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro import obs as _obs
-
 from . import isa
 from .insn import _LDDW_OPCODE, Instruction, decode_program, encode_program
 
@@ -55,12 +53,7 @@ class Program:
         self._slot_of_index = slot_of_index
         self._index_of_slot: List[int] = index_of_slot
         self._total_slots = len(index_of_slot)
-        # The compiled form is keyed on ``obs.compile_tag()``: tag 0 is
-        # the pristine uninstrumented form, nonzero tags carry
-        # per-operator timing shims, and toggling observability must
-        # never serve a stale mix of the two.
         self._compiled: Optional["CompiledProgram"] = None
-        self._compiled_tag = 0
         self._canonical_hash: Optional[str] = None
         self._validate_jumps()
 
@@ -96,15 +89,15 @@ class Program:
 
         Programs are immutable in practice (mutation passes build new
         ``Program`` objects), so compiling once per object is safe and
-        lets every replay of the same program share the work.
+        lets every replay of the same program share the work.  One form
+        serves runs with observability on or off: each run picks the bare
+        or the timed steps (:meth:`CompiledProgram.timed_steps`).
         """
         cp = self._compiled
-        tag = _obs.compile_tag()
-        if cp is None or self._compiled_tag != tag:
+        if cp is None:
             from .compiled import compile_program
 
             cp = self._compiled = compile_program(self)
-            self._compiled_tag = tag
         return cp
 
     def canonical_hash(self) -> str:

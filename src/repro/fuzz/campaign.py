@@ -322,15 +322,15 @@ _worker_pool_programs: Dict[int, Program] = {}
 def _set_worker_state(
     spec: CampaignSpec,
     pool: Tuple[str, ...],
-    obs_state: "Optional[Tuple[bool, int]]" = None,
+    obs_state: Optional[bool] = None,
 ) -> None:
     global _worker_spec, _worker_pool, _worker_pool_programs
     _worker_spec = spec
     _worker_pool = pool
     _worker_pool_programs = {}
-    # Workers inherit the parent's obs switch (walks and compiled
-    # closures must instrument consistently) but no sinks — metrics
-    # return with each result via the scoped registry.
+    # Workers inherit the parent's obs switch (walks and runs must time
+    # consistently) but no sinks — metrics return with each result via
+    # the scoped registry.
     if obs_state is not None:
         _obs.init_worker(obs_state)
 
@@ -637,6 +637,19 @@ def _round_budgets(spec: CampaignSpec) -> List[int]:
 # -- state persistence ----------------------------------------------------------
 
 
+def _make_state_dir(state_dir: "str | Path") -> Path:
+    """Create a ``--state`` directory, or raise :class:`CampaignStateError`
+    when the path cannot be one (an existing file, or under one)."""
+    path = Path(state_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise CampaignStateError(
+            f"state path {path} is not usable as a directory: {exc}"
+        ) from exc
+    return path
+
+
 def _save_state(
     state_dir: Path,
     spec: CampaignSpec,
@@ -918,16 +931,8 @@ def run_precision_campaign(
     quarantined.
     """
     retry_policy = retry_policy or RetryPolicy()
-    state_path = Path(state_dir) if state_dir is not None else None
-    if state_path is not None:
-        # Fail before any fuzzing, not at the first checkpoint.
-        try:
-            state_path.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise CampaignStateError(
-                f"state path {state_path} is not usable as a directory: "
-                f"{exc}"
-            )
+    # Fail before any fuzzing, not at the first checkpoint.
+    state_path = _make_state_dir(state_dir) if state_dir is not None else None
     loaded = _load_state(state_path, spec) if state_path else None
     if loaded is not None:
         stats, report, pool, saved_corpus = loaded

@@ -52,6 +52,7 @@ from repro.fuzz.campaign import (
     PrecisionCampaignStats,
     _atomic_write,
     _load_state,
+    _make_state_dir,
     _record_quarantine,
     _round_budgets,
     _save_state,
@@ -131,8 +132,7 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         self.clock = clock
         self.cid = campaign_id(spec)
-        self.state_path = Path(state_dir)
-        self.state_path.mkdir(parents=True, exist_ok=True)
+        self.state_path = _make_state_dir(state_dir)
         self._lock = threading.RLock()
         self._workers: Dict[str, float] = {}
         self._counters: Dict[str, int] = {}
@@ -505,7 +505,5 @@ class Coordinator:
                 quarantined=list(self._quarantined_payloads),
             )
 
-    def _count(self, name: str, n: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + n
-        if _obs.enabled():
-            _obs.default_registry().counter(f"dist.{name}").inc(n)
+    def _count(self, name: str) -> None:
+        self._counters[name] = self._counters.get(name, 0) + 1

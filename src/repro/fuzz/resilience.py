@@ -38,7 +38,6 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
-from repro import obs as _obs
 
 __all__ = [
     "RetryPolicy",
@@ -432,17 +431,10 @@ def run_leased_batches(
     pool: List[_Worker] = []
     spawned = 0
 
-    def fail(row: Batch, kind: str, detail: object) -> None:
-        quarantined = ledger.fail(row, kind, detail, time.monotonic())
-        if _obs.enabled():
-            _obs.default_registry().counter(
-                "campaign.quarantined" if quarantined else "campaign.retries"
-            ).inc()
-
     def retire(worker: _Worker, kind: str, detail: object) -> None:
         """A worker died (or was killed): fail its lease, drop the handle."""
         if worker.lease is not None:
-            fail(worker.lease, kind, detail)
+            ledger.fail(worker.lease, kind, detail, time.monotonic())
             worker.lease = None
         try:
             worker.conn.close()
@@ -525,7 +517,7 @@ def run_leased_batches(
                 if kind == "done":
                     ledger.complete(row, payload)
                 else:   # soft error inside the task
-                    fail(row, "error", payload)
+                    ledger.fail(row, "error", payload, time.monotonic())
 
             # Expired leases: the worker is wedged (hung item, injected
             # hang) — kill it and retry the batch elsewhere.

@@ -19,20 +19,22 @@ nothing measurable:
 
 * hot paths guard on the single predicate :func:`enabled` (one module
   attribute read);
-* the abstract walk (:meth:`repro.bpf.verifier.Verifier.verify`) reads
-  it once per call and picks its timed or untimed loop then — with obs
-  disabled the loop calls the transfer methods directly and carries no
-  timing code;
-* the concrete interpreter's compiled form (:mod:`repro.bpf.compiled`)
-  consults :func:`compile_tag` at *compile* time and only wraps closures
-  with timing when it is nonzero — with obs disabled the compiled
-  program is byte-for-byte the bare closures, not instrumented code
-  behind a flag check.
+* the abstract walk (:meth:`repro.bpf.verifier.Verifier.verify`) and
+  the concrete interpreter (:meth:`repro.bpf.interpreter.Machine.run`)
+  read it once per call and pick their timed or untimed loop then —
+  with obs disabled the walk calls the transfer methods directly and
+  the interpreter runs the bare compiled closures, with no timing code
+  and no flag check per step.
 
 Enabling flips a process-global switch (:func:`enable` /
-:func:`configure`); :func:`compile_tag` changes value so cached compiled
-programs keyed on it transparently recompile in whichever mode is
-current.
+:func:`configure`), and the next walk or run picks it up.
+
+The registry holds the measurements obs takes itself: operator timers,
+the oracle's counters, injected faults, and the progress a ``repro
+work`` process has no other live view of.  A component that already
+keeps and serves a count (the service's request and cache counters, the
+coordinator's lease counters, a campaign's retries) is read where it
+serves it, not copied here.
 
 Worker processes
 ----------------
@@ -49,7 +51,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from .heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
@@ -71,7 +73,6 @@ from .trace import (
     JsonlSink,
     MemorySink,
     NullTracer,
-    StderrSink,
     Tracer,
     aggregate_spans,
     read_trace,
@@ -83,7 +84,6 @@ __all__ = [
     "enable",
     "disable",
     "reset",
-    "compile_tag",
     "default_registry",
     "set_default_registry",
     "scoped_registry",
@@ -91,9 +91,7 @@ __all__ = [
     "tracer",
     "set_tracer",
     "configure",
-    "active_session",
     "publish_heartbeat",
-    "write_metrics_snapshot",
     "worker_init_state",
     "init_worker",
     "ObsSession",
@@ -108,7 +106,6 @@ __all__ = [
     "NullTracer",
     "MemorySink",
     "JsonlSink",
-    "StderrSink",
     "validate_event",
     "read_trace",
     "aggregate_spans",
@@ -121,9 +118,6 @@ __all__ = [
 ]
 
 _enabled = False
-#: Bumped on every enable so compiled programs keyed on
-#: :func:`compile_tag` never serve stale (un)instrumented closures.
-_generation = 0
 _registry = Registry()
 _tracer = NullTracer()
 _session: Optional["ObsSession"] = None
@@ -138,21 +132,13 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    global _enabled, _generation
-    if not _enabled:
-        _enabled = True
-        _generation += 1
+    global _enabled
+    _enabled = True
 
 
 def disable() -> None:
     global _enabled
     _enabled = False
-
-
-def compile_tag() -> int:
-    """Cache key component for compiled programs: 0 when disabled (the
-    pristine closures), else the enable-generation (instrumented)."""
-    return _generation if _enabled else 0
 
 
 def reset() -> None:
@@ -332,10 +318,6 @@ def configure(
     return _session
 
 
-def active_session() -> Optional[ObsSession]:
-    return _session
-
-
 def publish_heartbeat(snapshot: Dict, force: bool = False) -> None:
     """Session-aware heartbeat publish; a no-op without a session, so
     campaign code can call it unconditionally."""
@@ -343,33 +325,22 @@ def publish_heartbeat(snapshot: Dict, force: bool = False) -> None:
         _session.publish_heartbeat(snapshot, force=force)
 
 
-def write_metrics_snapshot() -> None:
-    if _session is not None:
-        _session.write_metrics_snapshot()
-
-
 # -- worker propagation -----------------------------------------------------
 
 
-def worker_init_state() -> Optional[Tuple[bool, int]]:
-    """Picklable obs state shipped to pool workers (None = disabled).
+def worker_init_state() -> bool:
+    """Picklable obs state shipped to pool workers: the enabled flag.
 
-    Workers get the enabled flag and generation (so their walks and
-    compiled closures instrument consistently with the parent) but *no*
-    sinks: traces and heartbeats stay parent-side, metrics return via
-    :func:`scoped_registry` snapshots on each result.
+    Workers get the flag (so their walks and runs time consistently with
+    the parent) but *no* sinks: traces and heartbeats stay parent-side,
+    metrics return via :func:`scoped_registry` snapshots on each result.
     """
-    if not _enabled:
-        return None
-    return (_enabled, _generation)
+    return _enabled
 
 
-def init_worker(state: Optional[Tuple[bool, int]]) -> None:
+def init_worker(state: bool) -> None:
     """Install shipped obs state in a pool worker (inverse of
     :func:`worker_init_state`)."""
-    global _enabled, _generation, _tracer
-    if state is None:
-        _enabled = False
-        return
-    _enabled, _generation = state
+    global _enabled, _tracer
+    _enabled = state
     _tracer = NullTracer()

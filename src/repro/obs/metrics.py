@@ -4,9 +4,8 @@ Design constraints, in order:
 
 1. **Zero overhead when disabled.**  Nothing in this module is consulted
    unless a caller first passes the single ``repro.obs.enabled()``
-   predicate, and the hot loops go further — the abstract walk picks
-   its timed loop once per call and the concrete interpreter only
-   *compiles* instrumented closures when observability is on, so the
+   predicate, and the hot loops go further — the abstract walk and the
+   concrete interpreter pick their timed loop once per call, so the
    disabled hot path is the uninstrumented code.
 2. **Deterministic merge.**  Campaign workers each fill a private
    registry and ship it back as a plain dict; the parent folds the dicts
@@ -16,8 +15,10 @@ Design constraints, in order:
    count or fold shape — the same property the campaign's
    :class:`~repro.eval.precision.PrecisionReport` already guarantees.
 3. **No dependencies.**  Plain dicts and lists; JSON round-trips; the
-   ``/metrics`` endpoint renders the Prometheus text exposition format
-   with nothing but string formatting.
+   ``/metrics`` endpoints render the Prometheus text exposition format
+   with nothing but string formatting, and :meth:`Registry.render_prometheus`
+   is the one place that knows it (the service fills a throwaway
+   registry with its own counters to print them).
 """
 
 from __future__ import annotations
@@ -245,7 +246,12 @@ class Registry:
         return items[:k]
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition format for the ``/metrics`` endpoint."""
+        """Prometheus text exposition format for the ``/metrics`` endpoints.
+
+        Each family is one contiguous group under its own ``# TYPE``
+        line; a component's timers make two, ``*_op_seconds_total`` and
+        ``*_op_calls_total``.
+        """
         lines: List[str] = []
         for name in sorted(self.counters):
             metric = _prom_name(name) + "_total"
@@ -270,16 +276,15 @@ class Registry:
         for (component, label), stat in self.timers.items():
             by_component.setdefault(component, []).append((label, stat))
         for component in sorted(by_component):
-            metric = _prom_name(f"{component}.op.seconds")
-            lines.append(f"# TYPE {metric}_total counter")
-            for label, stat in sorted(by_component[component]):
-                lines.append(
-                    f'{metric}_total{{op="{label}"}} {stat.total_ns / 1e9}'
-                )
-                lines.append(
-                    f'{_prom_name(f"{component}.op.calls")}_total'
-                    f'{{op="{label}"}} {stat.count}'
-                )
+            stats = sorted(by_component[component])
+            seconds = _prom_name(f"{component}.op.seconds") + "_total"
+            lines.append(f"# TYPE {seconds} counter")
+            lines += [f'{seconds}{{op="{label}"}} {stat.total_ns / 1e9}'
+                      for label, stat in stats]
+            calls = _prom_name(f"{component}.op.calls") + "_total"
+            lines.append(f"# TYPE {calls} counter")
+            lines += [f'{calls}{{op="{label}"}} {stat.count}'
+                      for label, stat in stats]
         return "\n".join(lines) + "\n"
 
     # -- (de)serialization and merge ----------------------------------------

@@ -2,8 +2,8 @@
 
 A *span* is a named, timed region with arbitrary attributes and a parent
 (spans nest per thread).  Completed spans serialize as one JSON object
-per line to a pluggable sink — a file (``trace.jsonl``), stderr, or an
-in-memory list for tests.  Point *events* share the format minus the
+per line to a pluggable sink — a file (``trace.jsonl``) or an in-memory
+list for tests.  Point *events* share the format minus the
 duration.
 
 Event schema (version 1), one object per line::
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -48,7 +47,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "MemorySink",
     "JsonlSink",
-    "StderrSink",
     "Tracer",
     "NullTracer",
     "validate_event",
@@ -94,19 +92,6 @@ class JsonlSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class StderrSink:
-    """One JSON line per event on stderr (quick interactive debugging)."""
-
-    def emit(self, event: Dict) -> None:
-        print(json.dumps(event, sort_keys=True), file=sys.stderr)
-
-    def flush(self) -> None:
-        sys.stderr.flush()
-
-    def close(self) -> None:
-        pass
 
 
 @contextmanager

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.core.galois import abstract
 from repro.core.lattice import enumerate_tnums
 from repro.core.ops import BINARY_OPS, SHIFT_OPS, UNARY_OPS, get_op
 from repro.core.tnum import Tnum, mask_for_width
@@ -120,32 +119,42 @@ def check_soundness(
 def check_optimality(
     operator: str, width: int, stop_at_first: bool = True
 ) -> ExhaustiveReport:
-    """Exhaustively check maximal precision (α∘f∘γ equality)."""
+    """Exhaustively check maximal precision (α∘f∘γ equality) of a binary
+    table operator at ``width``.
+
+    Each tnum's members are listed once, and α of a pair's concrete
+    outputs is folded inline: its value is the AND of the outputs and
+    its mask the bits where the AND and the OR differ.
+    """
     spec = BINARY_OPS[operator]
-    tnums = enumerate_tnums(width)
+    abstract_op = spec.abstract
+    concrete_op = spec.concrete
     limit = mask_for_width(width)
+    tnums = [(p, tuple(p.concretize())) for p in enumerate_tnums(width)]
     checked = 0
     failing = 0
     counterexample = None
-    for p in tnums:
-        gamma_p = list(p.concretize())
-        for q in tnums:
+    for p, xs in tnums:
+        for q, ys in tnums:
             checked += 1
-            outputs = [
-                spec.concrete(x, y, width) & limit
-                for x in gamma_p
-                for y in q.concretize()
-            ]
-            best = abstract(outputs, width)
-            if spec.abstract(p, q) != best:
-                failing += 1
-                if counterexample is None:
-                    counterexample = (p, q)
-                if stop_at_first:
-                    return ExhaustiveReport(
-                        operator, width, "optimality", False, checked,
-                        counterexample, failing,
-                    )
+            all_and, all_or = limit, 0
+            for x in xs:
+                for y in ys:
+                    z = concrete_op(x, y, width) & limit
+                    all_and &= z
+                    all_or |= z
+            r = abstract_op(p, q)
+            best = (all_and, all_and ^ all_or, width)
+            if (r.value, r.mask, r.width) == best:
+                continue
+            failing += 1
+            if counterexample is None:
+                counterexample = (p, q)
+            if stop_at_first:
+                return ExhaustiveReport(
+                    operator, width, "optimality", False, checked,
+                    counterexample, failing,
+                )
     return ExhaustiveReport(
         operator, width, "optimality", failing == 0, checked, counterexample, failing
     )

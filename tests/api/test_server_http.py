@@ -63,6 +63,34 @@ def _send(request):
         return exc.code, json.loads(exc.read())
 
 
+def get_text(server, path):
+    with urllib.request.urlopen(server.url + path, timeout=10) as response:
+        return response.read().decode()
+
+
+def exposition_families(text):
+    """Prometheus text as ``{family: [sample lines]}``.
+
+    Fails unless each family has one ``# TYPE`` line and its samples
+    follow that line in one contiguous run.
+    """
+    families = {}
+    current = None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            current = line.split()[2]
+            assert current not in families, f"repeated TYPE for {current}"
+            families[current] = []
+        elif line and not line.startswith("#"):
+            name = line.split("{")[0].split()[0]
+            assert current is not None and name in (
+                current, f"{current}_bucket", f"{current}_sum",
+                f"{current}_count",
+            ), f"{name} is not in the run of family {current}"
+            families[current].append(line)
+    return families
+
+
 def hex_payload(text, **extra):
     payload = {"program_hex": assemble(text).to_bytes().hex()}
     payload.update(extra)
@@ -236,11 +264,45 @@ class TestReadEndpoints:
 
     def test_metrics_exposition(self, server):
         post_json(server, hex_payload(ACCEPTED))
-        request = urllib.request.Request(server.url + "/metrics")
-        with urllib.request.urlopen(request, timeout=10) as response:
-            text = response.read().decode()
+        text = get_text(server, "/metrics")
         assert "repro_api_requests_total" in text
         assert "repro_api_cache_hits_total" in text
+        exposition_families(text)
+
+
+class TestMetricsWithObs:
+    @pytest.fixture(autouse=True)
+    def obs_on(self):
+        from repro import obs
+        obs.reset()
+        obs.enable()
+        yield
+        obs.reset()
+
+    def test_one_type_line_and_one_run_per_family(self, server):
+        post_json(server, hex_payload(ACCEPTED))   # a miss, walked
+        post_json(server, hex_payload(ACCEPTED))   # a hit
+        families = exposition_families(get_text(server, "/metrics"))
+        api = {name: lines for name, lines in families.items()
+               if name.startswith("repro_api_")}
+        assert api == {
+            name: [f"{name} {value}"] for name, value in (
+                ("repro_api_requests_total", 2),
+                ("repro_api_verifications_total", 1),
+                ("repro_api_rejections_total", 0),
+                ("repro_api_shed_total", 0),
+                ("repro_api_timeouts_total", 0),
+                ("repro_api_cache_hits_total", 1),
+                ("repro_api_cache_misses_total", 1),
+                ("repro_api_cache_evictions_total", 0),
+                ("repro_api_cache_entries", 1),
+            )
+        }
+        # The obs registry rides along: the walk's and the cache's timers.
+        assert families["repro_verifier_op_calls_total"]
+        assert families["repro_cache_op_calls_total"] == [
+            'repro_cache_op_calls_total{op="lookup"} 2'
+        ]
 
 
 class TestFaultsEcho:

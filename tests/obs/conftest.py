@@ -2,8 +2,8 @@
 
 Every test in this package runs against pristine ``repro.obs`` state:
 observability disabled, a fresh default registry, and the null tracer.
-The reset also runs *after* each test so an enabled run can never leak
-instrumented compiled closures into unrelated suites.
+The reset also runs *after* each test so an enabled run can never leave
+observability on for unrelated suites.
 """
 
 from __future__ import annotations

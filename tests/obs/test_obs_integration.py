@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.bpf import assemble
+from repro.bpf.interpreter import Machine
 from repro.bpf.verifier import Verifier
 from repro.bpf.verifier.absint import step_label
 from repro.fuzz import CampaignSpec, fuzz_spec, run_precision_campaign
@@ -196,16 +197,50 @@ def test_scoped_registry_isolates_and_restores():
 
 
 def test_worker_init_state_round_trip():
-    assert obs.worker_init_state() is None
+    assert obs.worker_init_state() is False
     obs.enable()
     state = obs.worker_init_state()
-    assert state is not None
+    assert state is True
     obs.reset()
     obs.init_worker(state)
     assert obs.enabled()
-    assert obs.compile_tag() == state[1]
-    obs.init_worker(None)
+    assert isinstance(obs.tracer(), obs.NullTracer)
+    obs.init_worker(False)
     assert not obs.enabled()
+
+
+def test_interpreter_times_each_executed_step_when_obs_is_on():
+    # Four instructions, three executed: the jump skips the second mov.
+    program = assemble("""
+        mov r0, 1
+        jeq r0, 1, done
+        mov r0, 2
+    done:
+        exit
+    """)
+    machine = Machine()
+
+    def interp_samples():
+        return {
+            label: stat.count
+            for (component, label), stat in
+            obs.default_registry().timers.items()
+            if component == "interp"
+        }
+
+    assert machine.run(program).steps == 3
+    assert interp_samples() == {}
+    # Switching obs on or off takes effect on the next run of the same
+    # Program object, whose compiled form is built once.
+    obs.enable()
+    assert machine.run(program).return_value == 1
+    assert interp_samples() == {"mov64": 1, "jeq64": 1, "exit": 1}
+    obs.disable()
+    machine.run(program)
+    assert sum(interp_samples().values()) == 3
+    obs.enable()
+    machine.run(program, on_step=lambda idx, regs: None)
+    assert interp_samples() == {"mov64": 2, "jeq64": 2, "exit": 2}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -653,6 +653,16 @@ class TestDistCli:
             main(["work"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["campaign", "--budget", "4", "--rounds", "1"],
+        ["coordinate", "--budget", "4", "--port", "0"],
+    ])
+    def test_state_path_that_is_a_file_is_usage_error(
+            self, command, safe_file, capsys):
+        assert main([*command, "--state", safe_file]) == 2
+        assert (f"error: state path {safe_file} is not usable as a "
+                f"directory") in capsys.readouterr().err
+
     def test_coordinate_rejects_bad_batch_size(self, tmp_path, capsys):
         assert main([
             "coordinate", "--budget", "4", "--state", str(tmp_path / "s"),
