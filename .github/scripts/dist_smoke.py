@@ -2,10 +2,11 @@
 """CI smoke for distributed campaigns — stdlib only.
 
 Drives the full fault matrix the coordinator/worker protocol promises
-to absorb, then requires the merged report to be *byte-identical* to a
-single-machine fault-free run:
+to absorb, then requires the merged report and corpus to be
+*byte-identical* to a single-machine fault-free run's:
 
 1. baseline: `repro campaign` (one process, no faults) -> baseline.json
+   and baseline-corpus.json
 2. distributed: `repro coordinate` + 2 `repro work` processes on
    loopback, with the workers running under injected crashes
    (`campaign.worker.crash`, real `os._exit` kills — dead workers are
@@ -14,12 +15,15 @@ single-machine fault-free run:
 3. mid-round, the coordinator is SIGKILLed and restarted on the same
    state directory and port — workers ride the outage out on their RPC
    retry loop;
-4. the restarted coordinator finishes and writes dist.json, which must
-   `cmp` equal baseline.json.
+4. the restarted coordinator finishes and writes dist.json and
+   dist-corpus.json, which must `cmp` equal baseline.json and
+   baseline-corpus.json: the corpus pins seed admission and its order
+   across drivers, not only the report.
 
 Worker exit codes are deliberately NOT asserted: a worker that loses
 its final poll race against coordinator shutdown exits nonzero by
-design.  Only the coordinator's exit code and the report bytes gate.
+design.  Only the coordinator's exit code and the report and corpus
+bytes gate.
 
 Usage: dist_smoke.py [WORKDIR]   (default: dist-smoke/)
 """
@@ -63,6 +67,7 @@ def start_coordinator(workdir, logfile):
         "--batch-size", "4",
         "--lease-timeout", "5", "--heartbeat-timeout", "10",
         "--report", str(workdir / "dist.json"),
+        "--corpus", str(workdir / "dist-corpus.json"),
     )
     return subprocess.Popen(
         command, stdout=open(logfile, "a"), stderr=subprocess.STDOUT,
@@ -95,11 +100,15 @@ def main():
     workdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "dist-smoke")
     workdir.mkdir(parents=True, exist_ok=True)
     baseline = workdir / "baseline.json"
+    baseline_corpus = workdir / "baseline-corpus.json"
     coordinator_log = workdir / "coordinator.log"
 
     log("building single-machine fault-free baseline")
     subprocess.run(
-        repro("campaign", *SPEC, "--report", str(baseline)),
+        repro(
+            "campaign", *SPEC, "--report", str(baseline),
+            "--corpus", str(baseline_corpus),
+        ),
         check=True, stdout=subprocess.DEVNULL,
     )
 
@@ -171,8 +180,12 @@ def main():
     dist = (workdir / "dist.json").read_bytes()
     if plain != dist:
         fail("distributed report differs from single-machine baseline")
-    log(f"reports byte-identical ({len(plain)} bytes) "
-        "under kills, duplicates, and coordinator SIGKILL+resume")
+    plain_corpus = baseline_corpus.read_bytes()
+    if plain_corpus != (workdir / "dist-corpus.json").read_bytes():
+        fail("distributed corpus differs from single-machine baseline")
+    log(f"reports ({len(plain)} bytes) and corpora ({len(plain_corpus)} "
+        "bytes) byte-identical under kills, duplicates, and coordinator "
+        "SIGKILL+resume")
 
 
 if __name__ == "__main__":

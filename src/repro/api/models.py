@@ -30,7 +30,7 @@ Current shape::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro import faults as _faults
 from repro import obs as _obs
@@ -224,16 +224,6 @@ class Verdict:
         if self.precision is not None:
             payload["precision"] = self.precision
         return payload
-
-    def summary_lines(self) -> Tuple[str, ...]:
-        """The CLI text rendering (``repro verify`` without ``--json``)."""
-        if self.ok:
-            return (
-                f"OK: {self.insns_processed} analyzed"
-                + (" (cached)" if self.cached else ""),
-            )
-        assert self.error is not None
-        return (f"REJECTED: {self.error.message()}",)
 
 
 def precision_summary(precision: Sequence) -> Dict:

@@ -25,7 +25,7 @@ Pipeline
     counterexample (jump offsets are retargeted across deletions).
 :mod:`~repro.fuzz.corpus`
     JSON persistence for failures (original + shrunk bytecode) and
-    interesting seeds; entries replay exactly via the wire format.
+    mutation seeds; entries replay exactly via the wire format.
 :mod:`~repro.fuzz.mutate`
     Mutation engine (splice, opcode tweak, constant nudge) turning
     corpus seeds back into fresh inputs.
@@ -38,6 +38,9 @@ Pipeline
     seeds.  Results merge into a deterministic
     :class:`~repro.eval.precision.PrecisionReport`.  ``repro fuzz`` runs
     its one-round, feedback-free form (:func:`~repro.fuzz.fuzz_spec`).
+    A :class:`~repro.fuzz.campaign.CampaignRun` owns a campaign's
+    cross-round state and round lifecycle for this driver and the
+    distributed coordinator alike.
 :mod:`~repro.fuzz.resilience`
     Crash recovery for multi-worker runs: the one lease ledger — per-batch
     leases with bounded retry and jittered backoff, lease timeouts
@@ -45,8 +48,9 @@ Pipeline
     quarantine for batches that keep failing — plus the local runner
     that feeds it worker processes (see ``docs/resilience.md``).
 :mod:`~repro.fuzz.dist`
-    The same ledger across machines: a coordinator owns the corpus and
-    merged report; stateless workers lease batches over HTTP.
+    The same ledger across machines: a coordinator owns the campaign's
+    ``CampaignRun`` (corpus and merged report included); stateless
+    workers lease batches over HTTP.
     Idempotent ingest and crash-proof checkpoints keep the report
     byte-identical to a single-machine run (see
     ``docs/distributed.md``).

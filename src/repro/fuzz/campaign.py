@@ -36,6 +36,13 @@ cached between programs or runs: every program gets the live abstract
 walk and its own concrete replays.  With a ``state_dir`` the campaign
 checkpoints after every round (spec, pool, stats, report, corpus) and a
 rerun resumes where it stopped.
+
+One :class:`CampaignRun` owns that cross-round state and the round
+lifecycle — resume, round indices, quarantine, and the round end's
+merge, checkpoint and heartbeat.  :func:`run_precision_campaign` drives
+one on this machine (each round inline or on leased worker processes),
+and the distributed coordinator (:mod:`repro.fuzz.dist`) drives one
+over HTTP, so the two write the same report, corpus and checkpoint.
 """
 
 from __future__ import annotations
@@ -69,13 +76,13 @@ from .resilience import (
 from .shrink import shrink_program
 
 __all__ = [
+    "CampaignRun",
     "CampaignSpec",
     "CampaignStateError",
     "PrecisionCampaignStats",
     "PrecisionCampaignResult",
     "TransferCollector",
     "fuzz_spec",
-    "merge_round_results",
     "program_seed",
     "run_precision_campaign",
     "shrink_violation",
@@ -234,7 +241,7 @@ class PrecisionCampaignResult:
     corpus: Corpus
     report: PrecisionReport
     pool: List[str] = field(default_factory=list)   # bytecode hex
-    #: poison-batch payloads (see :func:`_record_quarantine`) — also
+    #: poison-batch payloads (see :meth:`CampaignRun.quarantine`) — also
     #: written under ``<state_dir>/poison/`` when the campaign has a
     #: state directory.
     quarantined: List[Dict] = field(default_factory=list)
@@ -629,56 +636,7 @@ def _shrink_seed(
     return shrunk
 
 
-def _round_budgets(spec: CampaignSpec) -> List[int]:
-    per, extra = divmod(spec.budget, spec.rounds)
-    return [per + (1 if r < extra else 0) for r in range(spec.rounds)]
-
-
-# -- state persistence ----------------------------------------------------------
-
-
-def _make_state_dir(state_dir: "str | Path") -> Path:
-    """Create a ``--state`` directory, or raise :class:`CampaignStateError`
-    when the path cannot be one (an existing file, or under one)."""
-    path = Path(state_dir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise CampaignStateError(
-            f"state path {path} is not usable as a directory: {exc}"
-        ) from exc
-    return path
-
-
-def _save_state(
-    state_dir: Path,
-    spec: CampaignSpec,
-    stats: PrecisionCampaignStats,
-    report: PrecisionReport,
-    pool: List[str],
-    corpus: Corpus,
-) -> None:
-    state_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format_version": _STATE_FORMAT_VERSION,
-        "spec": asdict(spec),
-        "stats": asdict(stats),
-        # Wall-clock/throughput at checkpoint time, so `ls`-ing a long
-        # campaign's state dir answers "how fast is it going" without
-        # replaying anything.  Deliberately *outside* the report: the
-        # PrecisionReport stays byte-identical across machines/timing.
-        "elapsed_s": round(stats.elapsed_seconds, 3),
-        "programs_per_s": round(stats.programs_per_second, 1),
-        "report": report.to_dict(),
-        "pool": pool,
-    }
-    # Write-then-rename so an interrupted checkpoint never corrupts the
-    # files a resume depends on.
-    _atomic_write(
-        state_dir / _STATE_FILE,
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
-    _atomic_write(state_dir / _CORPUS_FILE, corpus.to_json() + "\n")
+# -- the campaign's cross-round state -------------------------------------------
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -693,214 +651,346 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _record_quarantine(
-    state_path: Optional[Path],
-    rnd: int,
-    spec: CampaignSpec,
-    round_pool: Tuple[str, ...],
-    quarantined: List[Batch],
-) -> List[Dict]:
-    """Materialize quarantined ledger rows: payloads, plus artifacts.
+class CampaignRun:
+    """One campaign's cross-round state and round lifecycle.
 
-    Each row becomes one JSON file under ``<state_dir>/poison/``
-    carrying its attempt count, failure fingerprints *and* the
-    regenerated programs the round lost — everything needed to replay
-    the batch in isolation (the fuzz stream is a pure function of
-    ``(spec, pool, index)``).
+    Owns everything that outlives a round — spec, stats, merged report,
+    mutation pool, corpus, quarantined payloads and state directory —
+    and the steps around each round: :meth:`indices` names its
+    programs, :meth:`quarantine` records the batches it lost, and
+    :meth:`end_round` merges, checkpoints and publishes a heartbeat.
+    :func:`run_precision_campaign` and the distributed
+    :class:`~repro.fuzz.dist.Coordinator` each drive one, so both merge,
+    checkpoint and report alike; they differ only in how a round's
+    programs get fuzzed.
+
+    With ``state_dir`` the run resumes from its checkpoint when there is
+    one; the checkpointed corpus then wins over ``corpus``, which would
+    drop entries the resumed report already counts.  An unusable
+    directory or another spec's checkpoint raises
+    :class:`CampaignStateError` here, before any fuzzing.
     """
-    payloads: List[Dict] = []
-    if not quarantined:
-        return payloads
-    pool_programs: Dict[int, Program] = {}
 
-    def get_pool_program(i: int) -> Program:
-        program = pool_programs.get(i)
-        if program is None:
-            program = pool_programs[i] = Program.from_bytes(
-                bytes.fromhex(round_pool[i])
-            )
-        return program
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        state_dir: Optional["str | Path"] = None,
+        corpus: Optional[Corpus] = None,
+    ) -> None:
+        self.spec = spec
+        self.state_path = None if state_dir is None else Path(state_dir)
+        loaded = None
+        if self.state_path is not None:
+            try:
+                self.state_path.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError) as exc:
+                raise CampaignStateError(
+                    f"state path {self.state_path} is not usable as a "
+                    f"directory: {exc}"
+                ) from exc
+            loaded = self._load()
+        if loaded is None:
+            self.stats = PrecisionCampaignStats(budget=spec.budget)
+            self.report = PrecisionReport()
+            self.pool: List[str] = []
+            self.corpus = corpus if corpus is not None else Corpus()
+        else:
+            self.stats, self.report, self.pool, self.corpus = loaded
+        #: poison-batch payloads (see :meth:`quarantine`)
+        self.quarantined: List[Dict] = []
+        self._started = time.perf_counter()
 
-    for batch in quarantined:
-        programs = []
-        for index in batch.indices:
-            seed, origin, program = _program_for_index(
-                spec, round_pool, index, get_pool_program=get_pool_program
-            )
-            programs.append({
-                "index": index,
-                "seed": seed,
-                "origin": origin,
-                "bytecode_hex": program.to_bytes().hex(),
-            })
-        payload = {
-            "batch_id": batch.batch_id,
-            "indices": list(batch.indices),
-            "attempts": batch.attempt,
-            "fingerprints": list(batch.failures),
-            "round": rnd,
-            "programs": programs,
-            "fault_plan": _faults.worker_init_state(),
-        }
-        payloads.append(payload)
-        if state_path is not None:
-            poison_dir = state_path / "poison"
-            poison_dir.mkdir(parents=True, exist_ok=True)
-            # The attempt-count suffix (plus a collision bump) keeps a
-            # resume that re-quarantines the same batch from silently
-            # overwriting the earlier artifact — each quarantine event
-            # leaves its own file.
-            stem = (
-                f"round-{rnd:03d}-batch-{batch.batch_id:03d}"
-                f"-a{batch.attempt:02d}"
-            )
-            path = poison_dir / f"{stem}.json"
-            bump = 1
-            while path.exists():
-                bump += 1
-                path = poison_dir / f"{stem}.{bump}.json"
-            _atomic_write(
-                path,
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            )
-    return payloads
+    @property
+    def round(self) -> int:
+        """The round in progress: how many rounds have merged."""
+        return self.stats.rounds_completed
 
+    @property
+    def finished(self) -> bool:
+        return self.stats.rounds_completed >= self.spec.rounds
 
-def _load_state(
-    state_dir: Path, spec: CampaignSpec
-) -> Optional[Tuple[PrecisionCampaignStats, PrecisionReport, List[str], Corpus]]:
-    path = state_dir / _STATE_FILE
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-        if payload.get("format_version") != _STATE_FORMAT_VERSION:
-            raise CampaignStateError(
-                f"unsupported campaign state format "
-                f"{payload.get('format_version')!r}"
-            )
-        # ``workers`` is outcome-neutral (reports are byte-identical for
-        # any worker count), so resuming on different cores is fine.
-        saved_spec = dict(payload["spec"], workers=spec.workers)
-        if saved_spec != asdict(spec):
-            raise CampaignStateError(
-                "campaign state was produced by a different spec; "
-                "use a fresh --state directory or matching options"
-            )
-        stats = PrecisionCampaignStats(**payload["stats"])
-        report = PrecisionReport.from_dict(payload["report"])
-        corpus_path = state_dir / _CORPUS_FILE
-        corpus = (
-            Corpus.load(corpus_path) if corpus_path.exists() else Corpus()
-        )
-        return stats, report, list(payload["pool"]), corpus
-    except CampaignStateError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CampaignStateError(
-            f"corrupt campaign state in {state_dir}: {exc}"
-        )
+    def indices(self) -> range:
+        """The campaign indices of the round in progress: the budget in
+        ``rounds`` consecutive runs, the first ``budget % rounds`` of
+        them one program longer."""
+        per, extra = divmod(self.spec.budget, self.spec.rounds)
+        rnd = self.round
+        start = rnd * per + min(rnd, extra)
+        return range(start, start + per + (1 if rnd < extra else 0))
 
+    def quarantine(self, batches: Sequence[Batch], write: bool = True) -> None:
+        """Count and record the round's quarantined ledger rows.
 
-def merge_round_results(
-    spec: CampaignSpec,
-    stats: PrecisionCampaignStats,
-    report: PrecisionReport,
-    pool: List[str],
-    corpus: Corpus,
-    results: List[Dict],
-) -> None:
-    """Fold one completed round's results into the campaign state.
+        Each row becomes a payload carrying its attempt count, failure
+        fingerprints *and* the regenerated programs the round lost —
+        everything needed to replay the batch in isolation (the fuzz
+        stream is a pure function of ``(spec, pool, index)``).  With
+        ``write`` and a state directory it is also written to one JSON
+        file under ``<state_dir>/poison/``; a resume re-counting a
+        quarantine whose file exists passes ``write=False``.
+        """
+        self.stats.quarantined += len(batches)
+        pool = tuple(self.pool)
+        pool_programs: Dict[int, Program] = {}
 
-    This is the campaign's determinism core, shared verbatim by the
-    single-machine loop and the distributed coordinator
-    (:mod:`repro.fuzz.dist`): results sort on their campaign index, the
-    report merges in that order, and mutation-seed admission follows
-    index order too — so the merged :class:`PrecisionReport` and the
-    next round's pool are byte-identical for any worker count, transport
-    (in-process pipes or HTTP), or kill schedule.  Results may have
-    round-tripped through JSON (the dist wire format and the campaign
-    checkpoint both do): every field this reads is JSON-stable.
-    """
-    results.sort(key=lambda r: r["index"])
-    if _obs.enabled():
-        registry = _obs.default_registry()
+        def get_pool_program(i: int) -> Program:
+            program = pool_programs.get(i)
+            if program is None:
+                program = pool_programs[i] = Program.from_bytes(
+                    bytes.fromhex(pool[i])
+                )
+            return program
+
+        for batch in batches:
+            programs = []
+            for index in batch.indices:
+                seed, origin, program = _program_for_index(
+                    self.spec, pool, index, get_pool_program=get_pool_program
+                )
+                programs.append({
+                    "index": index,
+                    "seed": seed,
+                    "origin": origin,
+                    "bytecode_hex": program.to_bytes().hex(),
+                })
+            payload = {
+                "batch_id": batch.batch_id,
+                "indices": list(batch.indices),
+                "attempts": batch.attempt,
+                "fingerprints": list(batch.failures),
+                "round": self.round,
+                "programs": programs,
+                "fault_plan": _faults.worker_init_state(),
+            }
+            self.quarantined.append(payload)
+            if write and self.state_path is not None:
+                poison_dir = self.state_path / "poison"
+                poison_dir.mkdir(parents=True, exist_ok=True)
+                # The attempt-count suffix (plus a collision bump) keeps a
+                # resume that re-quarantines the same batch from silently
+                # overwriting the earlier artifact — each quarantine event
+                # leaves its own file.
+                stem = (
+                    f"round-{self.round:03d}-batch-{batch.batch_id:03d}"
+                    f"-a{batch.attempt:02d}"
+                )
+                path = poison_dir / f"{stem}.json"
+                bump = 1
+                while path.exists():
+                    bump += 1
+                    path = poison_dir / f"{stem}.{bump}.json"
+                _atomic_write(
+                    path,
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                )
+
+    def end_round(
+        self, results: List[Dict], phase: str, **live: object
+    ) -> None:
+        """Close the round in progress with its ``results``.
+
+        Merges them, advances the round, adds the round's wall time,
+        checkpoints to the state directory, and publishes one heartbeat:
+        ``phase``, the campaign's counters and ``live`` (what only the
+        driver knows, such as its worker count).
+
+        This is the campaign's determinism core: results sort on their
+        campaign index, the report merges in that order, and
+        mutation-seed admission follows index order too — so the merged
+        :class:`PrecisionReport`, the next round's pool and the corpus
+        are byte-identical for any worker count, transport (in-process
+        pipes or HTTP), or kill schedule.  Results may have round-tripped
+        through JSON (the dist wire format and the coordinator's round
+        checkpoint both do): every field this reads is JSON-stable.
+        """
+        spec, stats, report = self.spec, self.stats, self.report
+        pool, corpus = self.pool, self.corpus
+        results.sort(key=lambda r: r["index"])
+        if _obs.enabled():
+            registry = _obs.default_registry()
+            for res in results:
+                shard = res.pop("obs", None)
+                if shard is not None:
+                    registry.merge_dict(shard)
+
         for res in results:
-            shard = res.pop("obs", None)
-            if shard is not None:
-                registry.merge_dict(shard)
+            stats.containment_checks += res["checks"]
+            _merge_result(report, res)
+            if res["violations"]:
+                program = Program.from_bytes(
+                    bytes.fromhex(res["bytecode_hex"])
+                )
+                shrunk = (
+                    shrink_violation(spec, res["bytecode_hex"], res["seed"])
+                    if spec.shrink
+                    else None
+                )
+                corpus.add_violation(
+                    program,
+                    seed=res["seed"],
+                    profile=spec.profile,
+                    violation=res["violations"][0],
+                    shrunk=shrunk,
+                    note=f"index {res['index']} ({res['origin']})",
+                )
 
-    for res in results:
-        stats.containment_checks += res["checks"]
-        _merge_result(report, res)
-        if res["violations"]:
+        # Mutation-seed admission: shrunk rejected-but-clean programs
+        # first, then shrunk near-miss accepted programs, at most
+        # ``seeds_per_round`` in total, newest kept on overflow.  All
+        # choices follow index order, so the pool is identical whatever
+        # the worker count.
+        pool_set = set(pool)
+        admitted = 0
+        rejected_clean = [
+            r for r in results
+            if r["rejected_but_clean"] and "bytecode_hex" in r
+        ]
+        near_misses = [
+            r for r in results if r["near_miss"] and "bytecode_hex" in r
+        ]
+        # Both candidate lists are bounded *before* shrinking: each
+        # shrink costs up to 150 oracle evaluations, and pool-collision
+        # skips must not pull ever more candidates into that cost.
+        candidates = [
+            (res, "rejected-clean")
+            for res in rejected_clean[: spec.seed_shrink_per_round]
+        ] + [
+            (res, "near-miss")
+            for res in near_misses[: spec.seeds_per_round]
+        ]
+        for res, kind in candidates:
+            if admitted >= spec.seeds_per_round:
+                break
             program = Program.from_bytes(bytes.fromhex(res["bytecode_hex"]))
-            shrunk = (
-                shrink_violation(spec, res["bytecode_hex"], res["seed"])
-                if spec.shrink
-                else None
+            seed_prog = _shrink_seed(spec, program, res["seed"], kind)
+            hex_code = seed_prog.to_bytes().hex()
+            if hex_code in pool_set:
+                continue
+            pool.append(hex_code)
+            pool_set.add(hex_code)
+            corpus.add_seed(
+                seed_prog, seed=res["seed"], profile=spec.profile,
+                note=f"{kind} index {res['index']} "
+                     f"(shrunk to {len(seed_prog)} insns)",
             )
-            corpus.add_violation(
-                program,
-                seed=res["seed"],
-                profile=spec.profile,
-                violation=res["violations"][0],
-                shrunk=shrunk,
-                note=f"index {res['index']} ({res['origin']})",
-            )
+            admitted += 1
+        stats.seeds_pooled += admitted
+        if len(pool) > spec.pool_limit:
+            del pool[: len(pool) - spec.pool_limit]
 
-    # Mutation-seed admission: shrunk rejected-but-clean programs
-    # first, then shrunk near-miss accepted programs, at most
-    # ``seeds_per_round`` in total, newest kept on overflow.  All
-    # choices follow index order, so the pool is identical whatever
-    # the worker count.
-    pool_set = set(pool)
-    admitted = 0
-    rejected_clean = [
-        r for r in results
-        if r["rejected_but_clean"] and "bytecode_hex" in r
-    ]
-    near_misses = [
-        r for r in results if r["near_miss"] and "bytecode_hex" in r
-    ]
-    # Both candidate lists are bounded *before* shrinking: each
-    # shrink costs up to 150 oracle evaluations, and pool-collision
-    # skips must not pull ever more candidates into that cost.
-    candidates = [
-        (res, "rejected-clean")
-        for res in rejected_clean[: spec.seed_shrink_per_round]
-    ] + [
-        (res, "near-miss")
-        for res in near_misses[: spec.seeds_per_round]
-    ]
-    for res, kind in candidates:
-        if admitted >= spec.seeds_per_round:
-            break
-        program = Program.from_bytes(bytes.fromhex(res["bytecode_hex"]))
-        seed_prog = _shrink_seed(spec, program, res["seed"], kind)
-        hex_code = seed_prog.to_bytes().hex()
-        if hex_code in pool_set:
-            continue
-        pool.append(hex_code)
-        pool_set.add(hex_code)
-        corpus.add_seed(
-            seed_prog, seed=res["seed"], profile=spec.profile,
-            note=f"{kind} index {res['index']} "
-                 f"(shrunk to {len(seed_prog)} insns)",
+        # Scalar counters derive from the (deterministic) report so the
+        # two never drift; only timing/checks live on stats alone.
+        stats.executed = report.programs
+        stats.accepted = report.accepted
+        stats.rejected = report.rejected
+        stats.rejected_clean = report.rejected_clean
+        stats.mutants = report.mutants
+        stats.violations = report.violations
+
+        stats.rounds_completed += 1
+        now = time.perf_counter()
+        stats.elapsed_seconds += now - self._started
+        self._started = now
+        if self.state_path is not None:
+            self._save()
+        if _obs.enabled():
+            _obs.publish_heartbeat({
+                "phase": phase,
+                "round": stats.rounds_completed,
+                "rounds": spec.rounds,
+                "budget": spec.budget,
+                "executed": stats.executed,
+                "accepted": stats.accepted,
+                "rejected_clean": stats.rejected_clean,
+                "violations": stats.violations,
+                "retries": stats.retries,
+                "quarantined": stats.quarantined,
+                "corpus_size": len(corpus),
+                "pool_size": len(pool),
+                "elapsed_s": round(stats.elapsed_seconds, 3),
+                "programs_per_s": round(stats.programs_per_second, 1),
+                # Where verifier time goes, so a long campaign's live
+                # snapshot answers the paper's cost question per operator.
+                "top_verifier_ops": [
+                    {
+                        "op": label,
+                        "total_s": round(t.total_ns / 1e9, 6),
+                        "calls": t.count,
+                    }
+                    for label, t in
+                    _obs.default_registry().top_timers("verifier", 5)
+                ],
+                **live,
+            })
+
+    def result(self) -> PrecisionCampaignResult:
+        return PrecisionCampaignResult(
+            self.stats, self.corpus, self.report, self.pool,
+            quarantined=list(self.quarantined),
         )
-        admitted += 1
-    stats.seeds_pooled += admitted
-    if len(pool) > spec.pool_limit:
-        del pool[: len(pool) - spec.pool_limit]
 
-    # Scalar counters derive from the (deterministic) report so the
-    # two never drift; only timing/checks live on stats alone.
-    stats.executed = report.programs
-    stats.accepted = report.accepted
-    stats.rejected = report.rejected
-    stats.rejected_clean = report.rejected_clean
-    stats.mutants = report.mutants
-    stats.violations = report.violations
+    # -- the checkpoint -----------------------------------------------------
+
+    def _save(self) -> None:
+        self.state_path.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "format_version": _STATE_FORMAT_VERSION,
+            "spec": asdict(self.spec),
+            "stats": asdict(self.stats),
+            # Wall-clock/throughput at checkpoint time, so `ls`-ing a long
+            # campaign's state dir answers "how fast is it going" without
+            # replaying anything.  Deliberately *outside* the report: the
+            # PrecisionReport stays byte-identical across machines/timing.
+            "elapsed_s": round(self.stats.elapsed_seconds, 3),
+            "programs_per_s": round(self.stats.programs_per_second, 1),
+            "report": self.report.to_dict(),
+            "pool": self.pool,
+        }
+        # Write-then-rename so an interrupted checkpoint never corrupts the
+        # files a resume depends on.
+        _atomic_write(
+            self.state_path / _STATE_FILE,
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        )
+        _atomic_write(
+            self.state_path / _CORPUS_FILE, self.corpus.to_json() + "\n"
+        )
+
+    def _load(
+        self,
+    ) -> Optional[Tuple[PrecisionCampaignStats, PrecisionReport, List[str], Corpus]]:
+        path = self.state_path / _STATE_FILE
+        if not path.exists():
+            return None
+        try:
+            payload = json.loads(path.read_text())
+            if payload.get("format_version") != _STATE_FORMAT_VERSION:
+                raise CampaignStateError(
+                    f"unsupported campaign state format "
+                    f"{payload.get('format_version')!r}"
+                )
+            # ``workers`` is outcome-neutral (reports are byte-identical
+            # for any worker count), so resuming on different cores is
+            # fine.
+            saved_spec = dict(payload["spec"], workers=self.spec.workers)
+            if saved_spec != asdict(self.spec):
+                raise CampaignStateError(
+                    "campaign state was produced by a different spec; "
+                    "use a fresh --state directory or matching options"
+                )
+            stats = PrecisionCampaignStats(**payload["stats"])
+            report = PrecisionReport.from_dict(payload["report"])
+            corpus_path = self.state_path / _CORPUS_FILE
+            corpus = (
+                Corpus.load(corpus_path) if corpus_path.exists() else Corpus()
+            )
+            return stats, report, list(payload["pool"]), corpus
+        except CampaignStateError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CampaignStateError(
+                f"corrupt campaign state in {self.state_path}: {exc}"
+            )
 
 
 # -- the campaign loop ----------------------------------------------------------
@@ -931,40 +1021,22 @@ def run_precision_campaign(
     quarantined.
     """
     retry_policy = retry_policy or RetryPolicy()
-    # Fail before any fuzzing, not at the first checkpoint.
-    state_path = _make_state_dir(state_dir) if state_dir is not None else None
-    loaded = _load_state(state_path, spec) if state_path else None
-    if loaded is not None:
-        stats, report, pool, saved_corpus = loaded
-        # The checkpointed corpus stays authoritative on resume — a
-        # caller-supplied corpus would drop entries the resumed report
-        # already counts (and overwrite the checkpoint with the loss).
-        corpus = saved_corpus
-    else:
-        stats = PrecisionCampaignStats(budget=spec.budget)
-        report = PrecisionReport()
-        pool = []
-        corpus = corpus if corpus is not None else Corpus()
-
-    budgets = _round_budgets(spec)
-    started = time.perf_counter()
+    run = CampaignRun(spec, state_dir, corpus)
     rounds_this_call = 0
-    quarantined_payloads: List[Dict] = []
-
-    for rnd in range(stats.rounds_completed, spec.rounds):
-        if stop_after_rounds is not None and rounds_this_call >= stop_after_rounds:
-            break
-        start_index = sum(budgets[:rnd])
-        indices = range(start_index, start_index + budgets[rnd])
+    while not run.finished and (
+        stop_after_rounds is None or rounds_this_call < stop_after_rounds
+    ):
+        indices = run.indices()
         # The spec and seed pool are shipped once per worker per round
         # (not once per work item) — the pool alone can hold pool_limit
         # programs of bytecode, so work items stay bare indices.
-        round_pool = tuple(pool)
-        if spec.workers > 1 and len(indices) > 1:
-            with _obs.tracer().span(
-                "campaign.round", round=rnd, programs=len(indices),
-                workers=spec.workers,
-            ):
+        round_pool = tuple(run.pool)
+        leased = spec.workers > 1 and len(indices) > 1
+        with _obs.tracer().span(
+            "campaign.round", round=run.round, programs=len(indices),
+            workers=spec.workers if leased else 1,
+        ):
+            if leased:
                 ledger = run_leased_batches(
                     slice_batches(
                         indices, local_batch_size(len(indices), spec.workers)
@@ -975,63 +1047,12 @@ def run_precision_campaign(
                     initargs=(spec, round_pool, _obs.worker_init_state()),
                     policy=retry_policy,
                 )
-            results = ledger.results
-            stats.retries += ledger.retries
-            stats.quarantined += len(ledger.quarantined)
-            quarantined_payloads += _record_quarantine(
-                state_path, rnd, spec, round_pool, ledger.quarantined
-            )
-        else:
-            _set_worker_state(spec, round_pool)
-            with _obs.tracer().span(
-                "campaign.round", round=rnd, programs=len(indices),
-                workers=1,
-            ):
+                results = ledger.results
+                run.stats.retries += ledger.retries
+                run.quarantine(ledger.quarantined)
+            else:
+                _set_worker_state(spec, round_pool)
                 results = _fuzz_batch(indices, 0, False)
-        merge_round_results(spec, stats, report, pool, corpus, results)
-
-        stats.rounds_completed = rnd + 1
+        run.end_round(results, "campaign")
         rounds_this_call += 1
-        if state_path is not None:
-            stats.elapsed_seconds += time.perf_counter() - started
-            started = time.perf_counter()
-            _save_state(state_path, spec, stats, report, pool, corpus)
-        if _obs.enabled():
-            live_elapsed = stats.elapsed_seconds
-            if state_path is None:
-                live_elapsed += time.perf_counter() - started
-            _obs.publish_heartbeat({
-                "phase": "campaign",
-                "round": stats.rounds_completed,
-                "rounds": spec.rounds,
-                "budget": spec.budget,
-                "executed": stats.executed,
-                "accepted": stats.accepted,
-                "rejected_clean": stats.rejected_clean,
-                "violations": stats.violations,
-                "retries": stats.retries,
-                "quarantined": stats.quarantined,
-                "corpus_size": len(corpus),
-                "pool_size": len(pool),
-                "elapsed_s": round(live_elapsed, 3),
-                "programs_per_s": round(
-                    stats.executed / live_elapsed, 1
-                ) if live_elapsed > 0 else 0.0,
-                # Where verifier time goes, so a long campaign's live
-                # snapshot answers the paper's cost question per operator.
-                "top_verifier_ops": [
-                    {
-                        "op": label,
-                        "total_s": round(t.total_ns / 1e9, 6),
-                        "calls": t.count,
-                    }
-                    for label, t in
-                    _obs.default_registry().top_timers("verifier", 5)
-                ],
-            }, force=True)
-
-    if state_path is None:
-        stats.elapsed_seconds += time.perf_counter() - started
-    return PrecisionCampaignResult(
-        stats, corpus, report, pool, quarantined=quarantined_payloads
-    )
+    return run.result()

@@ -1,11 +1,9 @@
 """JSON corpus persistence for fuzzing campaigns.
 
 A corpus stores *replayable* artifacts: failing programs (with their
-shrunk witnesses and violation details), interesting seeds worth
-re-fuzzing (e.g. programs that were accepted and exercised unusual
-instruction mixes), and mutation seeds — shrunk near-miss and
-rejected-but-clean programs a precision campaign feeds back into the
-generator.  Programs are stored as kernel-wire-format bytecode hex via
+shrunk witnesses and violation details) and mutation seeds — shrunk
+near-miss and rejected-but-clean programs a precision campaign feeds
+back into the generator.  Programs are stored as kernel-wire-format bytecode hex via
 the shared ingestion layer (:mod:`repro.api.ingest`), so entries
 round-trip exactly, can be replayed by any later build or external BPF
 tooling — and can be POSTed verbatim to the service's ``/verify``
@@ -31,7 +29,7 @@ _FORMAT_VERSION = 1
 class CorpusEntry:
     """One persisted program plus the recipe that produced it."""
 
-    kind: str                       # "violation" | "interesting" | "seed"
+    kind: str                       # "violation" | "seed"
     seed: int                       # generator seed
     profile: str
     bytecode_hex: str
@@ -70,19 +68,6 @@ class Corpus:
             bytecode_hex=program_to_hex(program),
             shrunk_hex=program_to_hex(shrunk) if shrunk else None,
             violation=violation,
-            note=note,
-        )
-        self.entries.append(entry)
-        return entry
-
-    def add_interesting(
-        self, program: Program, seed: int, profile: str, note: str = ""
-    ) -> CorpusEntry:
-        entry = CorpusEntry(
-            kind="interesting",
-            seed=seed,
-            profile=profile,
-            bytecode_hex=program_to_hex(program),
             note=note,
         )
         self.entries.append(entry)

@@ -1,7 +1,8 @@
 """The coordinator: authoritative owner of one distributed campaign.
 
-Exactly one coordinator owns the corpus, the round schedule, and the
-merged :class:`~repro.eval.precision.PrecisionReport`.  Workers are
+Exactly one coordinator owns the round schedule and, through its
+:class:`~repro.fuzz.campaign.CampaignRun`, the corpus and the merged
+:class:`~repro.eval.precision.PrecisionReport`.  Workers are
 stateless and expendable: they lease batches (:meth:`Coordinator.
 lease`), fuzz them locally, and report results (:meth:`Coordinator.
 ingest`).  Three invariants carry the design — see
@@ -20,16 +21,18 @@ ingest`).  Three invariants carry the design — see
   fingerprint (:func:`~repro.fuzz.dist.protocol.batch_fingerprint`),
   which excludes the attempt number: when a re-issued batch and its
   presumed-dead original worker both report, the first report wins and
-  every later one is a counted duplicate.  Merge order is campaign
-  index order (:func:`~repro.fuzz.campaign.merge_round_results`, the
-  exact code path the single-machine campaign runs), so the merged
-  report is byte-identical for any worker count or kill schedule.
+  every later one is a counted duplicate.  A settled round closes
+  through :meth:`~repro.fuzz.campaign.CampaignRun.end_round`, the
+  exact code path the single-machine campaign runs: it merges in
+  campaign index order, so the merged report and corpus are
+  byte-identical for any worker count or kill schedule.
 
 * **Checkpoints are crash-proof.**  The coordinator writes its
   in-round ledger (``round.json``) atomically after every lease grant
-  and every result merge, and the cross-round campaign state
-  (``state.json``/``corpus.json``) after every merged round — all via
-  the campaign's temp+rename writer.  A SIGKILLed coordinator resumes
+  and every result merge; its :class:`~repro.fuzz.campaign.CampaignRun`
+  writes the cross-round campaign state (``state.json``/
+  ``corpus.json``) after every merged round — all via the campaign's
+  temp+rename writer.  A SIGKILLed coordinator resumes
   from those files without double-granting a live lease (deadlines are
   epoch time) and without losing a completed batch (done results live
   in the ledger).
@@ -42,21 +45,13 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
-from repro import obs as _obs
-from repro.eval.precision import PrecisionReport
 from repro.fuzz.campaign import (
+    CampaignRun,
     CampaignSpec,
     PrecisionCampaignResult,
-    PrecisionCampaignStats,
     _atomic_write,
-    _load_state,
-    _make_state_dir,
-    _record_quarantine,
-    _round_budgets,
-    _save_state,
-    merge_round_results,
 )
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.resilience import (
@@ -111,6 +106,11 @@ class CoordinatorConfig:
 class Coordinator:
     """Lease scheduler + idempotent ingest + crash-proof checkpoints.
 
+    The campaign itself — stats, report, pool, corpus, quarantined
+    payloads and ``state.json`` — is :attr:`run`, a
+    :class:`~repro.fuzz.campaign.CampaignRun`; the coordinator keeps
+    the round's leases, its ingest and its ``round.json``.
+
     Thread-safe: every public method takes the coordinator lock, so the
     HTTP layer (:class:`repro.api.dist.CoordinatorApi`) can call in
     from many handler threads.  ``clock`` is injectable (epoch seconds)
@@ -128,28 +128,15 @@ class Coordinator:
         corpus: Optional[Corpus] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.spec = spec
         self.config = config or CoordinatorConfig()
         self.clock = clock
         self.cid = campaign_id(spec)
-        self.state_path = _make_state_dir(state_dir)
+        self.run = CampaignRun(spec, state_dir, corpus)
         self._lock = threading.RLock()
         self._workers: Dict[str, float] = {}
         self._counters: Dict[str, int] = {}
-        self._quarantined_payloads: List[Dict] = []
-        self._started = time.perf_counter()
-
-        loaded = _load_state(self.state_path, spec)
-        if loaded is not None:
-            self.stats, self.report, self.pool, self.corpus = loaded
-        else:
-            self.stats = PrecisionCampaignStats(budget=spec.budget)
-            self.report = PrecisionReport()
-            self.pool: List[str] = []
-            self.corpus = corpus if corpus is not None else Corpus()
 
         self._set_ledger([])
-        self._round = self.stats.rounds_completed
         if not self.finished and not self._load_round():
             self._new_round()
 
@@ -157,14 +144,10 @@ class Coordinator:
 
     @property
     def finished(self) -> bool:
-        return self.stats.rounds_completed >= self.spec.rounds
+        return self.run.finished
 
     def _new_round(self) -> None:
-        rnd = self.stats.rounds_completed
-        budgets = _round_budgets(self.spec)
-        start = sum(budgets[:rnd])
-        indices = range(start, start + budgets[rnd])
-        self._round = rnd
+        rnd = self.run.round
         self._set_ledger(
             Batch(
                 batch_id=bid,
@@ -172,7 +155,7 @@ class Coordinator:
                 fingerprint=batch_fingerprint(self.cid, rnd, bid, batch),
             )
             for bid, batch in enumerate(
-                slice_batches(indices, self.config.batch_size)
+                slice_batches(self.run.indices(), self.config.batch_size)
             )
         )
         self._checkpoint_round()
@@ -192,10 +175,10 @@ class Coordinator:
         its own batch layout even if ``batch_size`` changed since: the
         fingerprints already granted must keep matching.
         """
-        path = self.state_path / _ROUND_FILE
+        path = self.run.state_path / _ROUND_FILE
         if not path.exists():
             return False
-        rnd = self.stats.rounds_completed
+        rnd = self.run.round
         try:
             payload = json.loads(path.read_text())
             if payload.get("format_version") != _ROUND_FORMAT_VERSION:
@@ -207,18 +190,14 @@ class Coordinator:
             batches = [Batch.from_payload(b) for b in payload["batches"]]
         except (ValueError, KeyError, TypeError):
             return False
-        budgets = _round_budgets(self.spec)
-        start = sum(budgets[:rnd])
-        expected = list(range(start, start + budgets[rnd]))
         covered = sorted(i for b in batches for i in b.indices)
-        if covered != expected:
+        if covered != list(self.run.indices()):
             return False
         for b in batches:
             if b.fingerprint != batch_fingerprint(
                 self.cid, rnd, b.batch_id, b.indices
             ):
                 return False
-        self._round = rnd
         self._set_ledger(batches)
         now = self.clock()
         for b in batches:
@@ -228,27 +207,24 @@ class Coordinator:
                 # with the coordinator, staleness (or the persisted
                 # epoch deadline) reclaims the lease.
                 self._workers.setdefault(b.worker, now)
-            elif b.status == "quarantined":
-                # Re-count in-round quarantines lost with the in-memory
-                # stats (state.json only reflects merged rounds).  The
-                # poison artifact was already written pre-crash, so the
-                # payload regenerates with no state path — no duplicate
-                # file, no suffix bump.
-                self.stats.quarantined += 1
-                self._quarantined_payloads.extend(_record_quarantine(
-                    None, rnd, self.spec, tuple(self.pool), [b],
-                ))
+        # Re-count in-round quarantines lost with the in-memory stats
+        # (state.json only reflects merged rounds).  The poison artifact
+        # was already written pre-crash, so the payload regenerates
+        # without a file — no duplicate, no suffix bump.
+        self.run.quarantine(
+            [b for b in batches if b.status == "quarantined"], write=False
+        )
         return True
 
     def _checkpoint_round(self) -> None:
         payload = {
             "format_version": _ROUND_FORMAT_VERSION,
             "campaign_id": self.cid,
-            "round": self._round,
+            "round": self.run.round,
             "batches": [b.to_payload() for b in self.ledger.rows],
         }
         _atomic_write(
-            self.state_path / _ROUND_FILE,
+            self.run.state_path / _ROUND_FILE,
             json.dumps(payload, sort_keys=True) + "\n",
         )
         self._count("checkpoints")
@@ -262,31 +238,11 @@ class Coordinator:
         bytes."""
         if self.finished or not self.ledger.rows or not self.ledger.settled:
             return
-        merge_round_results(
-            self.spec, self.stats, self.report, self.pool, self.corpus,
-            self.ledger.results,
-        )
-        self.stats.rounds_completed = self._round + 1
-        now_pc = time.perf_counter()
-        self.stats.elapsed_seconds += now_pc - self._started
-        self._started = now_pc
-        _save_state(
-            self.state_path, self.spec, self.stats, self.report, self.pool,
-            self.corpus,
+        self.run.end_round(
+            self.ledger.results, "dist-coordinator",
+            workers=len(self._workers),
         )
         self._count("rounds_merged")
-        if _obs.enabled():
-            _obs.publish_heartbeat({
-                "phase": "dist-coordinator",
-                "round": self.stats.rounds_completed,
-                "rounds": self.spec.rounds,
-                "budget": self.spec.budget,
-                "executed": self.stats.executed,
-                "violations": self.stats.violations,
-                "retries": self.stats.retries,
-                "quarantined": self.stats.quarantined,
-                "workers": len(self._workers),
-            }, force=True)
         if self.finished:
             # The stale round.json self-invalidates on load (its round
             # number is behind rounds_completed), so nothing to delete.
@@ -321,7 +277,7 @@ class Coordinator:
                     self._checkpoint_round()
                     return {
                         **base,
-                        "round": self._round,
+                        "round": self.run.round,
                         "batch": {
                             "batch_id": batch.batch_id,
                             "indices": list(batch.indices),
@@ -362,14 +318,10 @@ class Coordinator:
         """Charge a failed attempt to ``batch`` and checkpoint; record
         the poison artifact if the ledger quarantined it."""
         if self.ledger.fail(batch, kind, detail, now):
-            self.stats.quarantined += 1
+            self.run.quarantine([batch])
             self._count("batches_quarantined")
-            self._quarantined_payloads.extend(_record_quarantine(
-                self.state_path, self._round, self.spec, tuple(self.pool),
-                [batch],
-            ))
         else:
-            self.stats.retries += 1
+            self.run.stats.retries += 1
             self._count("leases_retried")
         self._checkpoint_round()
 
@@ -462,15 +414,16 @@ class Coordinator:
                 "schema_version": DIST_SCHEMA_VERSION,
                 "campaign_id": self.cid,
                 "finished": self.finished,
-                "round": self._round,
-                "rounds": self.spec.rounds,
-                "spec": asdict(self.spec),
-                "pool": list(self.pool),
+                "round": self.run.round,
+                "rounds": self.run.spec.rounds,
+                "spec": asdict(self.run.spec),
+                "pool": list(self.run.pool),
             }
 
     def stats_payload(self) -> Dict:
         with self._lock:
             now = self.clock()
+            stats = self.run.stats
             by_status: Dict[str, int] = {
                 "pending": 0, "leased": 0, "done": 0, "quarantined": 0,
             }
@@ -480,9 +433,9 @@ class Coordinator:
                 "schema_version": DIST_SCHEMA_VERSION,
                 "campaign_id": self.cid,
                 "finished": self.finished,
-                "round": self._round,
-                "rounds": self.spec.rounds,
-                "budget": self.spec.budget,
+                "round": self.run.round,
+                "rounds": self.run.spec.rounds,
+                "budget": self.run.spec.budget,
                 "batches": by_status,
                 "workers": {
                     name: round(now - seen, 3)
@@ -490,20 +443,17 @@ class Coordinator:
                 },
                 "counters": dict(sorted(self._counters.items())),
                 "stats": {
-                    "executed": self.stats.executed,
-                    "violations": self.stats.violations,
-                    "retries": self.stats.retries,
-                    "quarantined": self.stats.quarantined,
-                    "rounds_completed": self.stats.rounds_completed,
+                    "executed": stats.executed,
+                    "violations": stats.violations,
+                    "retries": stats.retries,
+                    "quarantined": stats.quarantined,
+                    "rounds_completed": stats.rounds_completed,
                 },
             }
 
     def result(self) -> PrecisionCampaignResult:
         with self._lock:
-            return PrecisionCampaignResult(
-                self.stats, self.corpus, self.report, self.pool,
-                quarantined=list(self._quarantined_payloads),
-            )
+            return self.run.result()
 
     def _count(self, name: str) -> None:
         self._counters[name] = self._counters.get(name, 0) + 1

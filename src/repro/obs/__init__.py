@@ -9,8 +9,9 @@ Three layers, all dependency-free:
   JSON-lines to a pluggable sink, with a sampling stride so
   per-program spans don't melt fuzzing throughput.
 * **liveness** (:mod:`repro.obs.heartbeat`, :mod:`repro.obs.server`) —
-  atomic heartbeat snapshots plus an optional background ``http.server``
-  thread serving ``/metrics`` (Prometheus text) and ``/stats`` (JSON).
+  atomic heartbeat snapshots, republished every interval while the
+  session is open, plus an optional background ``http.server`` thread
+  serving ``/metrics`` (Prometheus text) and ``/stats`` (JSON).
 
 The zero-overhead contract
 --------------------------
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -209,6 +211,13 @@ class ObsSession:
     Creating a session enables observability; closing it flushes the
     trace, publishes a final heartbeat, writes ``metrics.json``, stops
     the stats server, and disables observability again.
+
+    While a session with a heartbeat is open, one daemon thread
+    republishes the last snapshot every ``heartbeat_interval_s`` with a
+    fresh ``ts``, ``seq`` and ``uptime_s``, so a heartbeat goes stale
+    only when its process is gone, not while a long round runs.  The
+    thread writes ``heartbeat.json`` only: the registry and
+    ``metrics.json`` stay with the thread that publishes snapshots.
     """
 
     def __init__(
@@ -226,6 +235,11 @@ class ObsSession:
         self._closed = False
         self._started = time.time()
         self._last_snapshot: Dict = {}
+        #: held by every heartbeat write, so a refresh never republishes
+        #: a snapshot that a newer publish already replaced
+        self._heartbeat_lock = threading.Lock()
+        self._closing = threading.Event()
+        self._refresher: Optional[threading.Thread] = None
 
         set_default_registry(self.registry)
         if self.obs_dir is not None:
@@ -237,6 +251,12 @@ class ObsSession:
                 self.obs_dir / "heartbeat.json",
                 interval_s=heartbeat_interval_s,
             )
+            self._refresher = threading.Thread(
+                target=self._refresh_heartbeat,
+                name="repro-obs-heartbeat",
+                daemon=True,
+            )
+            self._refresher.start()
         if serve_port is not None:
             self.server = StatsServer(
                 default_registry, obs_dir=self.obs_dir, port=serve_port
@@ -245,14 +265,28 @@ class ObsSession:
 
     # -- publishing ---------------------------------------------------------
 
-    def publish_heartbeat(self, snapshot: Dict, force: bool = False) -> None:
+    def publish_heartbeat(self, snapshot: Dict) -> None:
+        """Publish ``snapshot`` (the one refreshes repeat from now on)
+        and refresh ``metrics.json``."""
         if self.heartbeat is None:
             return
-        payload = dict(snapshot)
-        payload.setdefault("uptime_s", round(time.time() - self._started, 3))
-        self._last_snapshot = payload
-        if self.heartbeat.publish(payload, force=force):
-            self.write_metrics_snapshot()
+        with self._heartbeat_lock:
+            self._last_snapshot = dict(snapshot)
+            self._write_heartbeat()
+        self.write_metrics_snapshot()
+
+    def _write_heartbeat(self) -> None:
+        """Publish the last snapshot; the caller holds the lock."""
+        self.heartbeat.publish({
+            "uptime_s": round(time.time() - self._started, 3),
+            **self._last_snapshot,
+        })
+
+    def _refresh_heartbeat(self) -> None:
+        while not self._closing.wait(self.heartbeat.interval_s):
+            with self._heartbeat_lock:
+                if self._last_snapshot:
+                    self._write_heartbeat()
 
     def write_metrics_snapshot(self) -> None:
         """Atomically refresh ``metrics.json`` next to the heartbeat."""
@@ -274,11 +308,13 @@ class ObsSession:
             return
         self._closed = True
         if self.heartbeat is not None:
+            self._closing.set()
+            self._refresher.join()
             # Keep the last run snapshot's fields so the final heartbeat
             # still answers "what did it do" — only the phase flips.
-            self.publish_heartbeat(
-                dict(self._last_snapshot, phase="done"), force=True
-            )
+            with self._heartbeat_lock:
+                self._last_snapshot = dict(self._last_snapshot, phase="done")
+                self._write_heartbeat()
         self.write_metrics_snapshot()
         current = tracer()
         if isinstance(current, Tracer):
@@ -318,11 +354,11 @@ def configure(
     return _session
 
 
-def publish_heartbeat(snapshot: Dict, force: bool = False) -> None:
+def publish_heartbeat(snapshot: Dict) -> None:
     """Session-aware heartbeat publish; a no-op without a session, so
     campaign code can call it unconditionally."""
     if _session is not None:
-        _session.publish_heartbeat(snapshot, force=force)
+        _session.publish_heartbeat(snapshot)
 
 
 # -- worker propagation -----------------------------------------------------

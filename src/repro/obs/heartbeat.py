@@ -2,14 +2,17 @@
 
 Long campaigns publish a small JSON snapshot (round, programs/sec,
 corpus size, violations, per-operator top-k) to ``heartbeat.json`` in
-the obs directory after every round.  The write is atomic
-(write-then-rename), so a reader — ``repro stats``, the ``/stats``
-endpoint, a dashboard poller — never sees a torn file.
+the obs directory after every round, and the open
+:class:`~repro.obs.ObsSession` republishes the last one every
+``interval_s`` in between.  The write is atomic (write-then-rename), so
+a reader — ``repro stats``, the ``/stats`` endpoint, a dashboard
+poller — never sees a torn file.
 
 Staleness is an explicit part of the contract: every snapshot carries a
 monotonic ``seq``, the publisher ``pid``, and its declared publish
-``interval_s``.  A snapshot older than twice its declared interval means
-the publisher died mid-run (worker crash, OOM-kill) and the numbers are
+``interval_s``.  A live publisher refreshes the file at that interval,
+so a snapshot older than twice its declared interval means the
+publisher died mid-run (worker crash, OOM-kill) and the numbers are
 lies — :func:`staleness_warning` is how readers find out, instead of a
 dashboard forever showing the last good round.
 """
@@ -35,10 +38,11 @@ HEARTBEAT_SCHEMA_VERSION = 1
 class HeartbeatWriter:
     """Publishes atomic heartbeat snapshots with sequence numbers.
 
-    ``interval_s`` is both the publish rate limit and the declared
-    freshness contract recorded in every snapshot: publishes closer
-    together than ``interval_s`` are coalesced (unless forced), and
-    readers treat ``2 * interval_s`` without a new snapshot as staleness.
+    ``interval_s`` is the declared freshness contract recorded in every
+    snapshot: the publisher writes at least once per interval while it
+    lives, and readers treat ``2 * interval_s`` without a new snapshot
+    as staleness.  Not thread-safe: concurrent publishers serialize
+    around it (the session's heartbeat lock).
     """
 
     def __init__(
@@ -47,32 +51,21 @@ class HeartbeatWriter:
         self.path = Path(path)
         self.interval_s = interval_s
         self._seq = 0
-        self._last_publish = 0.0
 
-    def publish(self, snapshot: Dict, force: bool = False) -> bool:
-        """Write a snapshot; returns whether anything was written.
-
-        Rate-limited to one write per ``interval_s`` so a tight campaign
-        loop can call this unconditionally; ``force`` bypasses the limit
-        (round boundaries, final flush).
-        """
-        now = time.time()
-        if not force and now - self._last_publish < self.interval_s:
-            return False
+    def publish(self, snapshot: Dict) -> None:
+        """Write ``snapshot`` under the next ``seq`` and a fresh ``ts``."""
         self._seq += 1
-        self._last_publish = now
         payload = {
             "schema_version": HEARTBEAT_SCHEMA_VERSION,
             "seq": self._seq,
             "pid": os.getpid(),
             "interval_s": self.interval_s,
-            "ts": now,
+            "ts": time.time(),
         }
         payload.update(snapshot)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, self.path)
-        return True
 
 
 def read_heartbeat(path: "str | os.PathLike[str]") -> Dict:

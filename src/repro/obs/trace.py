@@ -1,19 +1,18 @@
-"""Span tracing: structured JSON-lines events with sampling.
+"""Span tracing: structured JSON-lines records with sampling.
 
 A *span* is a named, timed region with arbitrary attributes and a parent
 (spans nest per thread).  Completed spans serialize as one JSON object
 per line to a pluggable sink — a file (``trace.jsonl``) or an in-memory
-list for tests.  Point *events* share the format minus the
-duration.
+list for tests.  Spans are the only record kind.
 
-Event schema (version 1), one object per line::
+Record schema (version 1), one object per line::
 
     {
       "v": 1,                  # schema version          (required, int)
-      "kind": "span"|"event",  # record type             (required)
-      "name": "verify",        # span/event name         (required, str)
+      "kind": "span",          # record type             (required)
+      "name": "verify",        # span name               (required, str)
       "ts": 1712345678.9,      # wall-clock start, epoch (required, float)
-      "dur_s": 0.00123,        # duration; spans only    (required for spans)
+      "dur_s": 0.00123,        # duration                (required, float)
       "pid": 4242,             # emitting process        (required, int)
       "span_id": 7,            # unique within pid       (required, int)
       "parent_id": 3,          # enclosing span or null  (required)
@@ -108,9 +107,6 @@ class NullTracer:
     def sampled_span(self, name: str, **attrs: object):
         return _null_span()
 
-    def event(self, name: str, **attrs: object) -> None:
-        pass
-
     def flush(self) -> None:
         pass
 
@@ -119,7 +115,7 @@ class NullTracer:
 
 
 class Tracer:
-    """Emits span/event records to a sink; spans nest per thread."""
+    """Emits span records to a sink; spans nest per thread."""
 
     def __init__(self, sink, sample: float = 1.0) -> None:
         self.sink = sink
@@ -173,24 +169,6 @@ class Tracer:
             return _null_span()
         return self.span(name, **attrs)
 
-    # -- point events -------------------------------------------------------
-
-    def event(self, name: str, **attrs: object) -> None:
-        stack = getattr(self._local, "stack", None)
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        self.sink.emit({
-            "v": TRACE_SCHEMA_VERSION,
-            "kind": "event",
-            "name": name,
-            "ts": time.time(),
-            "pid": self._pid,
-            "span_id": span_id,
-            "parent_id": stack[-1] if stack else None,
-            "attrs": dict(attrs),
-        })
-
     def flush(self) -> None:
         self.sink.flush()
 
@@ -211,14 +189,13 @@ def validate_event(event: object) -> List[str]:
         return [f"record is {type(event).__name__}, expected object"]
     if event.get("v") != TRACE_SCHEMA_VERSION:
         problems.append(f"bad schema version {event.get('v')!r}")
-    kind = event.get("kind")
-    if kind not in ("span", "event"):
-        problems.append(f"bad kind {kind!r}")
+    if event.get("kind") != "span":
+        problems.append(f"bad kind {event.get('kind')!r}")
     if not isinstance(event.get("name"), str) or not event.get("name"):
         problems.append("name must be a non-empty string")
     if not isinstance(event.get("ts"), (int, float)):
         problems.append("ts must be a number")
-    if kind == "span" and not isinstance(event.get("dur_s"), (int, float)):
+    if not isinstance(event.get("dur_s"), (int, float)):
         problems.append("span is missing numeric dur_s")
     if not isinstance(event.get("pid"), int):
         problems.append("pid must be an integer")
@@ -245,7 +222,8 @@ def read_trace(path: "str | os.PathLike[str]") -> Iterator[Dict]:
 
 
 def aggregate_spans(events: "List[Dict] | Iterator[Dict]") -> Dict[str, Dict]:
-    """Fold spans into per-name totals for the ``repro stats`` table."""
+    """Fold spans into per-name totals for the ``repro stats`` table;
+    records that are not spans (a malformed trace) are skipped."""
     out: Dict[str, Dict] = {}
     for event in events:
         if event.get("kind") != "span":

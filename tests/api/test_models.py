@@ -107,12 +107,6 @@ class TestVerdictShape:
             "0": "{} stack{}", "2": "{r0=7} stack{}",
         }
 
-    def test_summary_lines_match_cli_text(self):
-        program, result, _ = _verify(REJECTED)
-        verdict = Verdict.from_result(result, program.canonical_hash(), 64)
-        (line,) = verdict.summary_lines()
-        assert line.startswith("REJECTED: insn 0:")
-
 
 class TestPrecisionSummary:
     def test_aggregates_transfer_stream(self):

@@ -1,6 +1,6 @@
 """A campaign round holds little per program until it merges.
 
-A round keeps every result of its batches until ``merge_round_results``
+A round keeps every result of its batches until ``CampaignRun.end_round``
 folds them into the report, so ``repro fuzz --budget N`` holds N of them
 at its peak.  Each batch folds its programs' per-operator telemetry
 into one map, leaving a program's own result a few small counters.  The

@@ -44,7 +44,7 @@ def negative_offset_program() -> Program:
 
 
 class TestEveryKindRoundTrips:
-    def test_violation_interesting_and_seed_entries(self, tmp_path):
+    def test_violation_and_seed_entries(self, tmp_path):
         gp = generate_program(1)
         shrunk = generate_program(2).program
         corpus = Corpus()
@@ -53,14 +53,11 @@ class TestEveryKindRoundTrips:
             violation={"kind": "containment", "message": "x", "pc": 3},
             shrunk=shrunk, note="original",
         )
-        corpus.add_interesting(gp.program, seed=1, profile="alu",
-                               note="accepted")
         corpus.add_seed(shrunk, seed=2, profile="mixed", note="near-miss")
 
         loaded = roundtrip(corpus, tmp_path)
         assert loaded.to_json() == corpus.to_json()
-        assert [e.kind for e in loaded.entries] == \
-            ["violation", "interesting", "seed"]
+        assert [e.kind for e in loaded.entries] == ["violation", "seed"]
         for original, reloaded in zip(corpus.entries, loaded.entries):
             assert reloaded.program().to_bytes() == \
                 original.program().to_bytes()
@@ -114,7 +111,7 @@ class TestWireFormatExtremes:
             Instruction(EXIT),
         ])
         corpus = Corpus()
-        corpus.add_interesting(program, seed=5, profile="memory")
+        corpus.add_seed(program, seed=5, profile="memory")
         loaded = roundtrip(corpus, tmp_path)
         replayed = loaded.entries[0].program()
         assert replayed.to_bytes() == program.to_bytes()

@@ -16,11 +16,11 @@ import urllib.request
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.fuzz.campaign import (
+    CampaignRun,
     CampaignSpec,
     _fuzz_batch,
-    _record_quarantine,
     _set_worker_state,
     run_precision_campaign,
 )
@@ -280,6 +280,71 @@ class TestCoordinatorParity:
         assert _report_bytes(b.result()) == baseline
 
 
+class TestCheckpointParity:
+    def test_state_and_corpus_match_single_machine(self, tmp_path):
+        """Both drivers close rounds through one ``CampaignRun``, so they
+        leave the same checkpoint — seed admission, pool and corpus
+        order included, not only the report."""
+        spec = CampaignSpec(
+            workers=1, budget=40, rounds=3, seed=42, max_insns=12,
+            inputs_per_program=4,
+        )
+        assert spec.shrink
+        local = tmp_path / "local"
+        pooled = [0]
+        for _ in range(spec.rounds):   # one round per call, resumed
+            run_precision_campaign(spec, state_dir=local, stop_after_rounds=1)
+            payload = json.loads((local / "state.json").read_text())
+            pooled.append(payload["stats"]["seeds_pooled"])
+        assert sum(b > a for a, b in zip(pooled, pooled[1:])) >= 2, \
+            "want at least two rounds that admit mutation seeds"
+
+        clock = FakeClock()
+        coordinator = Coordinator(
+            spec, tmp_path / "dist",
+            config=CoordinatorConfig(batch_size=7), clock=clock,
+        )
+        _drive(coordinator, clock)
+        assert coordinator.finished
+
+        def state(name):
+            payload = json.loads((tmp_path / name / "state.json").read_text())
+            del payload["elapsed_s"], payload["programs_per_s"]
+            del payload["stats"]["elapsed_seconds"]
+            return payload
+
+        assert state("dist") == state("local")
+        assert (tmp_path / "dist" / "corpus.json").read_bytes() == \
+            (local / "corpus.json").read_bytes()
+
+    def test_coordinator_heartbeat_carries_the_campaign_fields(
+        self, tmp_path
+    ):
+        spec = CampaignSpec(workers=1, **SMALL)
+        clock = FakeClock()
+        try:
+            with obs.configure(obs_dir=tmp_path / "local"):
+                run_precision_campaign(spec)
+                local = obs.read_heartbeat(
+                    tmp_path / "local" / "heartbeat.json"
+                )
+            with obs.configure(obs_dir=tmp_path / "dist"):
+                coordinator = Coordinator(
+                    spec, tmp_path / "state", clock=clock
+                )
+                _drive(coordinator, clock)
+                dist = obs.read_heartbeat(tmp_path / "dist" / "heartbeat.json")
+        finally:
+            obs.reset()
+        assert local["phase"] == "campaign"
+        assert dist["phase"] == "dist-coordinator"
+        assert set(dist) == set(local) | {"workers"}
+        assert dist["workers"] == 1
+        for key in ("round", "executed", "accepted", "rejected_clean",
+                    "violations", "corpus_size", "pool_size"):
+            assert dist[key] == local[key], key
+
+
 class TestLeaseBoundary:
     """Expiry is strictly *after* the deadline — shared with the
     resilience runner via ``lease_expired`` (see test_resilience)."""
@@ -503,8 +568,10 @@ class TestCoordinatorFailureHandling:
             batch_id=0, indices=[0, 1], attempt=2,
             failures=[{"kind": "crash", "detail": "x"}] * 2,
         )
+        run = CampaignRun(spec, tmp_path)
         for _ in range(3):
-            _record_quarantine(tmp_path, 0, spec, (), [batch])
+            run.quarantine([batch])
+        assert run.stats.quarantined == 3
         names = sorted(p.name for p in tmp_path.glob("poison/*.json"))
         assert names == [
             "round-000-batch-000-a02.2.json",

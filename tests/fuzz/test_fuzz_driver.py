@@ -80,7 +80,7 @@ class TestCorpusPersistence:
     def test_roundtrip(self, tmp_path):
         corpus = Corpus()
         gp = generate_program(1)
-        corpus.add_interesting(gp.program, seed=1, profile="mixed")
+        corpus.add_seed(gp.program, seed=1, profile="mixed")
         corpus.add_violation(
             gp.program, seed=1, profile="mixed",
             violation={"kind": "containment", "message": "x"},

@@ -1,15 +1,17 @@
-"""Heartbeat snapshots: sequencing, rate limiting, staleness detection."""
+"""Heartbeat snapshots: sequencing, session refresh, staleness detection."""
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.obs import (
     HEARTBEAT_SCHEMA_VERSION,
     HeartbeatWriter,
+    ObsSession,
     read_heartbeat,
     staleness_warning,
 )
@@ -18,7 +20,7 @@ from repro.obs import (
 def test_publish_carries_seq_pid_and_interval(tmp_path):
     path = tmp_path / "heartbeat.json"
     writer = HeartbeatWriter(path, interval_s=0.5)
-    assert writer.publish({"phase": "campaign", "round": 1}, force=True)
+    writer.publish({"phase": "campaign", "round": 1})
     first = read_heartbeat(path)
     assert first["schema_version"] == HEARTBEAT_SCHEMA_VERSION
     assert first["seq"] == 1
@@ -26,26 +28,38 @@ def test_publish_carries_seq_pid_and_interval(tmp_path):
     assert first["interval_s"] == 0.5
     assert first["phase"] == "campaign"
 
-    assert writer.publish({"phase": "campaign", "round": 2}, force=True)
+    writer.publish({"phase": "campaign", "round": 2})
     second = read_heartbeat(path)
     assert second["seq"] == 2           # monotonic across publishes
     assert second["round"] == 2
 
 
-def test_publish_is_rate_limited_without_force(tmp_path):
-    path = tmp_path / "heartbeat.json"
-    writer = HeartbeatWriter(path, interval_s=3600.0)
-    assert writer.publish({"round": 1})
-    assert not writer.publish({"round": 2})   # coalesced: inside interval
-    assert read_heartbeat(path)["round"] == 1
-    assert writer.publish({"round": 3}, force=True)
-    assert read_heartbeat(path)["round"] == 3
+def test_open_session_keeps_its_heartbeat_fresh(tmp_path):
+    """Between round ends the session republishes the last snapshot,
+    so a live process never reads as stale."""
+    session = ObsSession(obs_dir=tmp_path, heartbeat_interval_s=0.2)
+    try:
+        session.publish_heartbeat({"phase": "campaign", "round": 1})
+        first = read_heartbeat(tmp_path / "heartbeat.json")
+        time.sleep(1.0)   # well past 2x the interval, no new snapshot
+        later = read_heartbeat(tmp_path / "heartbeat.json")
+        assert staleness_warning(later) is None
+        assert later["seq"] > first["seq"]
+        assert later["ts"] > first["ts"]
+        assert later["uptime_s"] > first["uptime_s"]
+        assert later["phase"] == "campaign" and later["round"] == 1
+    finally:
+        session.close()
+    final = read_heartbeat(tmp_path / "heartbeat.json")
+    assert final["phase"] == "done" and final["round"] == 1
+    time.sleep(0.5)   # the refresher stopped with the session
+    assert read_heartbeat(tmp_path / "heartbeat.json")["seq"] == final["seq"]
 
 
 def test_publish_never_leaves_a_torn_file(tmp_path):
     path = tmp_path / "heartbeat.json"
     writer = HeartbeatWriter(path)
-    writer.publish({"phase": "x"}, force=True)
+    writer.publish({"phase": "x"})
     # The write-then-rename protocol leaves no .tmp behind.
     assert list(tmp_path.iterdir()) == [path]
 

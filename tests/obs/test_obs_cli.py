@@ -60,7 +60,7 @@ def test_stats_validate_fails_on_corrupt_trace(obs_dir, capsys):
 
 def test_stats_warns_on_stale_heartbeat(tmp_path, capsys):
     HeartbeatWriter(tmp_path / "heartbeat.json", interval_s=0.05).publish(
-        {"phase": "campaign", "round": 1}, force=True
+        {"phase": "campaign", "round": 1}
     )
     time.sleep(0.15)
     rc = main(["stats", str(tmp_path)])

@@ -37,7 +37,7 @@ def test_metrics_endpoint_serves_prometheus_text(registry):
 
 def test_stats_endpoint_embeds_heartbeat_and_staleness(tmp_path, registry):
     HeartbeatWriter(tmp_path / "heartbeat.json", interval_s=0.05).publish(
-        {"phase": "campaign", "round": 1}, force=True
+        {"phase": "campaign", "round": 1}
     )
     time.sleep(0.15)   # > 2x the declared interval: snapshot is now stale
     server = StatsServer(lambda: registry, obs_dir=tmp_path).start()

@@ -20,23 +20,20 @@ def test_span_jsonl_round_trip(tmp_path):
     with tracer.span("campaign.round", round=1):
         with tracer.span("oracle.check_program", insns=7):
             pass
-    tracer.event("violation", kind="value_escape")
     tracer.close()
 
     events = list(read_trace(path))
-    assert len(events) == 3
+    assert len(events) == 2
     for event in events:
         assert validate_event(event) == []
 
-    # Inner span completes (and serializes) first; the event is last.
-    inner, outer, point = events
+    # Inner span completes (and serializes) first.
+    inner, outer = events
     assert inner["name"] == "oracle.check_program"
     assert inner["attrs"] == {"insns": 7}
     assert inner["parent_id"] == outer["span_id"]
     assert outer["parent_id"] is None
     assert outer["dur_s"] >= inner["dur_s"] >= 0
-    assert point["kind"] == "event"
-    assert point["attrs"] == {"kind": "value_escape"}
     assert all(e["v"] == TRACE_SCHEMA_VERSION for e in events)
 
 
@@ -75,7 +72,7 @@ def test_null_tracer_is_inert():
     tracer = NullTracer()
     with tracer.span("x"):
         with tracer.sampled_span("y"):
-            tracer.event("z")
+            pass
     tracer.flush()
     tracer.close()
 
@@ -98,9 +95,8 @@ def test_validate_event_rejects_malformed_records():
     span_without_duration = dict(valid)
     del span_without_duration["dur_s"]
     assert validate_event(span_without_duration)
-    # Point events carry no duration — that is valid.
-    event = dict(span_without_duration, kind="event")
-    assert validate_event(event) == []
+    # Spans are the only record kind; a point event is malformed.
+    assert validate_event(dict(span_without_duration, kind="event"))
 
 
 def test_aggregate_spans_folds_per_name():
@@ -108,7 +104,7 @@ def test_aggregate_spans_folds_per_name():
         {"kind": "span", "name": "a", "dur_s": 1.0},
         {"kind": "span", "name": "a", "dur_s": 3.0},
         {"kind": "span", "name": "b", "dur_s": 0.5},
-        {"kind": "event", "name": "a"},   # events are skipped
+        {"kind": "bogus", "name": "a"},   # not a span: skipped
     ]
     spans = aggregate_spans(events)
     assert spans["a"] == {"count": 2, "total_s": 4.0, "max_s": 3.0}
