@@ -42,7 +42,8 @@ lifecycle — resume, round indices, quarantine, and the round end's
 merge, checkpoint and heartbeat.  :func:`run_precision_campaign` drives
 one on this machine (each round inline or on leased worker processes),
 and the distributed coordinator (:mod:`repro.fuzz.dist`) drives one
-over HTTP, so the two write the same report, corpus and checkpoint.
+over HTTP, so the two write the same report and corpus, and the same
+checkpoint up to its timing and retry counters.
 """
 
 from __future__ import annotations

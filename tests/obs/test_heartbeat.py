@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -54,6 +55,25 @@ def test_open_session_keeps_its_heartbeat_fresh(tmp_path):
     assert final["phase"] == "done" and final["round"] == 1
     time.sleep(0.5)   # the refresher stopped with the session
     assert read_heartbeat(tmp_path / "heartbeat.json")["seq"] == final["seq"]
+
+
+def test_refresh_never_republishes_a_replaced_snapshot(tmp_path):
+    """Publishes race a refresher firing every millisecond; the shared
+    lock keeps the file on the newest snapshot and every write whole."""
+    path = tmp_path / "heartbeat.json"
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        session = ObsSession(obs_dir=tmp_path, heartbeat_interval_s=0.001)
+        try:
+            for n in range(1, 301):
+                session.publish_heartbeat({"round": n})
+                assert read_heartbeat(path)["round"] == n
+        finally:
+            session.close()
+    finally:
+        sys.setswitchinterval(switch)
+    assert read_heartbeat(path)["round"] == 300
 
 
 def test_publish_never_leaves_a_torn_file(tmp_path):
