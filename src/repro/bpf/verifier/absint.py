@@ -5,7 +5,9 @@ Walks the (acyclic, fully reachable) CFG in reverse post-order, propagating
 reduced product as the scalar domain.  Conditional jumps *refine* the
 branched-on register in each successor state, which is how facts like
 ``r1 < 64`` flow into later bounds checks — the mechanism the paper's
-introduction sketches with the ``x ≤ 8`` example.
+introduction sketches with the ``x ≤ 8`` example.  Every refinement but
+``jset``'s is a :class:`ScalarValue` method (``refine_ult``,
+``refine_slt`` and the rest), signed and unsigned alike.
 
 Safety checks enforced (each mirrors a kernel check):
 
@@ -43,9 +45,8 @@ from repro.bpf import isa
 from repro.bpf.cfg import CFGError, build_cfg
 from repro.bpf.insn import Instruction
 from repro.bpf.program import Program
-from repro.domains.interval import Interval, to_signed
+from repro.domains.interval import Interval
 from repro.domains.product import ScalarValue
-from repro.domains.signed_interval import SignedInterval, deduce_bounds
 from repro.core.tnum import Tnum
 from repro.core.lattice import meet as tnum_meet
 
@@ -300,30 +301,6 @@ def _refine_jset(value: ScalarValue, bound: int) -> Tuple[None, ScalarValue]:
     return None, ScalarValue.make(cleared, value.interval)
 
 
-def _signed_refiner(
-    taken_op: Callable[[SignedInterval, int], SignedInterval],
-    fall_op: Callable[[SignedInterval, int], SignedInterval],
-) -> Callable[[ScalarValue, int], Tuple[ScalarValue, ScalarValue]]:
-    # Signed comparisons refine through the signed-interval domain and
-    # the kernel-style bounds deduction maps the result back onto the
-    # unsigned interval and the tnum.
-    def refine(value: ScalarValue, bound: int) -> Tuple[ScalarValue, ScalarValue]:
-        sbound = to_signed(bound, 64)
-        base = SignedInterval.from_unsigned(value.interval).meet(
-            SignedInterval.from_tnum(value.tnum)
-        )
-
-        def rebuild(si: SignedInterval) -> ScalarValue:
-            if si.is_bottom():
-                return ScalarValue.bottom()
-            t, iv, _ = deduce_bounds(value.tnum, value.interval, si)
-            return ScalarValue.make(t, iv)
-
-        return rebuild(taken_op(base, sbound)), rebuild(fall_op(base, sbound))
-
-    return refine
-
-
 def _apply_refinement(
     taken: AbstractState,
     fall: AbstractState,
@@ -365,18 +342,10 @@ _REFINERS: Dict[
     isa.JMP_JLT: lambda v, b: (v.refine_ult(b), v.refine_uge(b)),
     isa.JMP_JLE: lambda v, b: (v.refine_ule(b), v.refine_ugt(b)),
     isa.JMP_JSET: _refine_jset,
-    isa.JMP_JSGT: _signed_refiner(
-        SignedInterval.refine_sgt, SignedInterval.refine_sle
-    ),
-    isa.JMP_JSGE: _signed_refiner(
-        SignedInterval.refine_sge, SignedInterval.refine_slt
-    ),
-    isa.JMP_JSLT: _signed_refiner(
-        SignedInterval.refine_slt, SignedInterval.refine_sge
-    ),
-    isa.JMP_JSLE: _signed_refiner(
-        SignedInterval.refine_sle, SignedInterval.refine_sgt
-    ),
+    isa.JMP_JSGT: lambda v, b: (v.refine_sgt(b), v.refine_sle(b)),
+    isa.JMP_JSGE: lambda v, b: (v.refine_sge(b), v.refine_slt(b)),
+    isa.JMP_JSLT: lambda v, b: (v.refine_slt(b), v.refine_sge(b)),
+    isa.JMP_JSLE: lambda v, b: (v.refine_sle(b), v.refine_sgt(b)),
 }
 
 
@@ -433,9 +402,10 @@ class Verifier:
     #: the fuzz campaign's precision telemetry.
     on_transfer: Optional[Callable[[int, str, ScalarValue], None]] = None
     #: wall-clock watchdog for the walk: when set, the walk checks
-    #: ``time.monotonic()`` once per basic block and stops with a
-    #: structured timeout rejection (``VerifierError.timeout``) instead
-    #: of running unbounded.  The service never caches a timeout — the
+    #: ``time.monotonic()`` once per basic block (the path-sensitive
+    #: walk once per state) and stops with a structured timeout
+    #: rejection (``VerifierError.timeout``) instead of running
+    #: unbounded.  The service never caches a timeout — the
     #: deadline is a property of the *request*, not the program.
     deadline_s: Optional[float] = None
 
@@ -466,9 +436,7 @@ class Verifier:
         # Watchdog and fault site, both hoisted: with no deadline and no
         # armed fault plan (the default) the loop pays two falsy local
         # checks per *block*, nothing per instruction.
-        deadline_at: Optional[float] = None
-        if self.deadline_s is not None:
-            deadline_at = time.monotonic() + self.deadline_s
+        check_deadline = self._deadline_check()
         hang_s = 0.0
         if _faults.enabled() and _faults.fire("verify.hang"):
             hang_s = _faults.arg("verify.hang")
@@ -477,13 +445,8 @@ class Verifier:
                 block = blocks[block_id]
                 if hang_s:
                     time.sleep(hang_s)
-                if deadline_at is not None and time.monotonic() > deadline_at:
-                    raise VerifierError(
-                        block.start,
-                        f"verification exceeded its {self.deadline_s:g}s "
-                        f"deadline after {processed} instructions",
-                        timeout=True,
-                    )
+                if check_deadline is not None:
+                    check_deadline(block.start, processed)
                 entry = in_states.get(block_id)
                 if entry is None:
                     continue  # no feasible path in (dead branch)
@@ -515,6 +478,29 @@ class Verifier:
         except VerifierError as exc:
             return VerificationResult(False, [exc], processed)
         return VerificationResult(True, [], processed)
+
+    def _deadline_check(self) -> Optional[Callable[[int, int], None]]:
+        """The walk's watchdog, started now; None without a deadline.
+
+        ``check(idx, processed)`` raises the structured timeout
+        rejection once ``deadline_s`` has passed; :meth:`verify` and
+        the path-sensitive walk share it.
+        """
+        deadline_s = self.deadline_s
+        if deadline_s is None:
+            return None
+        deadline_at = time.monotonic() + deadline_s
+
+        def check(idx: int, processed: int) -> None:
+            if time.monotonic() > deadline_at:
+                raise VerifierError(
+                    idx,
+                    f"verification exceeded its {deadline_s:g}s "
+                    f"deadline after {processed} instructions",
+                    timeout=True,
+                )
+
+        return check
 
     # -- state plumbing -----------------------------------------------------------
 

@@ -36,7 +36,8 @@ class PathSensitiveVerifier(Verifier):
 
     ``max_states`` bounds total work (the kernel similarly bounds
     "processed insns"); exceeding it rejects the program, mirroring the
-    kernel's complexity limit rather than looping forever.
+    kernel's complexity limit rather than looping forever.  The
+    inherited ``deadline_s`` watchdog is checked once per popped state.
     """
 
     max_states: int = 100_000
@@ -56,10 +57,13 @@ class PathSensitiveVerifier(Verifier):
         ]
         processed = 0
         self.pruned_count = 0
+        check_deadline = self._deadline_check()
 
         try:
             while stack:
                 idx, state = stack.pop()
+                if check_deadline is not None:
+                    check_deadline(idx, processed)
                 if self._is_subsumed(explored, idx, state):
                     self.pruned_count += 1
                     continue

@@ -1,10 +1,12 @@
-"""Unsigned and signed interval domains, kernel `bpf_reg_state`-style.
+"""The unsigned interval domain, kernel `bpf_reg_state`-style.
 
 The Linux BPF verifier tracks, alongside the tnum, unsigned bounds
 ``[umin, umax]`` and signed bounds ``[smin, smax]`` for every scalar
 register.  The tnum domain alone cannot represent contiguous ranges
 precisely (e.g. ``[3, 5]`` abstracts to ``0µµ`` ⊇ {0..7} over 3 bits), so
-the two domains cooperate (see :mod:`repro.domains.product`).
+the two domains cooperate (see :mod:`repro.domains.product`).  Only the
+unsigned bounds are stored: :func:`signed_bounds` derives the signed
+view and :meth:`Interval.from_signed` maps a signed range back.
 
 This module implements the unsigned interval lattice with the abstract
 transformers the verifier needs: add/sub/mul with wraparound-aware
@@ -12,8 +14,10 @@ widening to ⊤, exact bitwise bounds (the Hacker's Delight ``minOR`` /
 ``maxAND`` family, the interval analogue of the kernel's
 ``scalar_min_max_*`` known-bit reasoning), division/modulo bounds under
 BPF's defined ``x/0 == 0`` / ``x%0 == x`` semantics, and branch
-refinement for the BPF conditional jumps (``<``, ``<=``, ``>``, ``>=``,
-``==``, ``!=`` in both signednesses).
+refinement for the unsigned and equality jumps (``<``, ``<=``, ``>``,
+``>=``, ``==``, ``!=``).  The signed jumps refine on
+:class:`~repro.domains.product.ScalarValue`, whose tnum sharpens the
+signed view.
 """
 
 from __future__ import annotations
@@ -251,6 +255,20 @@ class Interval:
         if t.is_bottom():
             return cls.bottom(t.width)
         return cls(t.min_value(), t.max_value(), t.width)
+
+    @classmethod
+    def from_signed(cls, smin: int, smax: int, width: int = 64) -> "Interval":
+        """Best unsigned interval for the signed range ``[smin, smax]``.
+
+        The inverse of :func:`signed_bounds` (kernel signed→unsigned
+        deduction): exact when the range stays within one sign half, ⊤
+        when it straddles zero, ⊥ when it is empty.
+        """
+        if smin > smax:
+            return cls.bottom(width)
+        if smin < 0 <= smax:
+            return cls.top(width)
+        return cls(to_unsigned(smin, width), to_unsigned(smax, width), width)
 
     # -- predicates ----------------------------------------------------------
 

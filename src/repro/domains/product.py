@@ -2,8 +2,9 @@
 
 The BPF verifier's scalar register state is (essentially) a reduced
 product: a tnum plus unsigned/signed ranges that are repeatedly *synced*
-against each other (kernel ``reg_bounds_sync`` / ``__update_reg_bounds`` /
-``__reg_deduce_bounds``).  Each domain sharpens the other:
+against each other (kernel ``reg_bounds_sync``, which updates the bounds
+from the tnum, deduces each range from the other and feeds the unsigned
+range back into the tnum).  Each domain sharpens the other:
 
 * the tnum bounds the range: any concrete value lies in
   ``[t.value, t.value | t.mask]``;
@@ -12,6 +13,16 @@ against each other (kernel ``reg_bounds_sync`` / ``__update_reg_bounds`` /
 
 This mutual refinement is what lets the verifier prove facts like
 ``x & 0xf <= 15`` *and* ``x - x == 0`` that neither domain proves alone.
+
+Unlike the kernel, the product stores only the tnum and the unsigned
+bounds; the signed view is derived where it is needed
+(:meth:`ScalarValue.signed_range`).  The unsigned bounds for
+``and``/``or``/``xor`` are exact and BPF ``div``/``mod`` are unsigned,
+so of the transfers only the signed branch refinements (``refine_slt``
+and the rest) and the arithmetic right shift, which is monotone on the
+signed view, need it.  Both clamp the signed range and map it back
+with :meth:`Interval.from_signed
+<repro.domains.interval.Interval.from_signed>`.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from repro.core.lattice import leq as tnum_leq
 from repro.core.lattice import meet as tnum_meet
 from repro.core.tnum import Tnum
 
-from .interval import Interval
+from .interval import Interval, signed_bounds, to_signed
 
 __all__ = ["ScalarValue"]
 
@@ -317,16 +328,16 @@ class ScalarValue:
             if v >> (self.width - 1):  # sign-extend, then shift
                 v -= 1 << self.width
             return ScalarValue.const(v >> shift, self.width)
-        # The unsigned interval routes through the signed domain: an
-        # arithmetic shift is monotone on the signed view, and the result
-        # maps back exactly whenever it stays within one sign half.
-        from .signed_interval import SignedInterval
-
+        # An arithmetic shift is monotone on the signed view, and the
+        # result maps back exactly whenever it stays within one sign half.
         t = tnum_arshift(self.tnum, shift)
-        if self.interval.is_bottom():
-            return ScalarValue.make(t, self.interval)
-        iv = SignedInterval.from_unsigned(self.interval).arshift(shift).to_unsigned()
-        return ScalarValue.make(t, iv)
+        iv = self.interval
+        if iv.is_bottom():
+            return ScalarValue.make(t, iv)
+        lo, hi = signed_bounds(iv.umin, iv.umax, iv.width)
+        return ScalarValue.make(
+            t, Interval.from_signed(lo >> shift, hi >> shift, iv.width)
+        )
 
     # -- branch refinement --------------------------------------------------------
 
@@ -374,6 +385,60 @@ class ScalarValue:
 
     def refine_ne(self, bound: int) -> "ScalarValue":
         return self._with_refined_interval(self.interval.refine_ne(bound))
+
+    # The signed refinements clamp one end of :meth:`signed_range`, meet
+    # it into the interval and let :meth:`make` carry it into the tnum.
+    # Their ``bound`` is a bit pattern, as the unsigned ones take it.
+
+    def signed_range(self) -> Tuple[int, int]:
+        """Signed bounds ``(smin, smax)`` of γ, empty (smin > smax) at ⊥.
+
+        The interval's signed view met with the tnum's: with the sign
+        bit known the tnum's extremes keep their order; with it unknown
+        the most negative member sets the sign bit over the known bits
+        and the most positive clears it over all the others.
+        """
+        t, iv = self.tnum, self.interval
+        width = t.width
+        lo, hi = signed_bounds(iv.umin, iv.umax, width)
+        sign = 1 << (width - 1)
+        tmin, tmax = t.value, t.value | t.mask
+        if t.mask & sign:
+            tmin, tmax = tmin | sign, tmax & ~sign
+        return max(lo, to_signed(tmin, width)), min(hi, to_signed(tmax, width))
+
+    def _signed_bound(self, bound: int) -> int:
+        width = self.tnum.width
+        return to_signed(bound & ((1 << width) - 1), width)
+
+    def _assume_signed(self, lo: int, hi: int) -> "ScalarValue":
+        """Assume ``lo <= self <= hi`` (signed, already clamped)."""
+        width = self.tnum.width
+        if lo > hi:
+            return ScalarValue.bottom(width)
+        return ScalarValue.make(
+            self.tnum, self.interval.meet(Interval.from_signed(lo, hi, width))
+        )
+
+    def refine_slt(self, bound: int) -> "ScalarValue":
+        """Assume ``self < bound`` (signed)."""
+        lo, hi = self.signed_range()
+        return self._assume_signed(lo, min(hi, self._signed_bound(bound) - 1))
+
+    def refine_sle(self, bound: int) -> "ScalarValue":
+        """Assume ``self <= bound`` (signed)."""
+        lo, hi = self.signed_range()
+        return self._assume_signed(lo, min(hi, self._signed_bound(bound)))
+
+    def refine_sgt(self, bound: int) -> "ScalarValue":
+        """Assume ``self > bound`` (signed)."""
+        lo, hi = self.signed_range()
+        return self._assume_signed(max(lo, self._signed_bound(bound) + 1), hi)
+
+    def refine_sge(self, bound: int) -> "ScalarValue":
+        """Assume ``self >= bound`` (signed)."""
+        lo, hi = self.signed_range()
+        return self._assume_signed(max(lo, self._signed_bound(bound)), hi)
 
     def __str__(self) -> str:
         return f"{self.tnum} ∩ {self.interval}"

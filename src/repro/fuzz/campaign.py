@@ -54,7 +54,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro import obs as _obs
@@ -383,18 +383,16 @@ def _program_for_index(
     spec: CampaignSpec,
     pool: Tuple[str, ...],
     index: int,
-    get_pool_program=None,
+    get_pool_program: Callable[[int], Program],
 ) -> Tuple[int, str, Program]:
     """Regenerate the exact program campaign ``index`` fuzzes.
 
     Pure function of ``(spec, pool, index)`` — shared by the worker-side
     fuzz path and the parent-side poison-batch writer, so a quarantined
     batch's artifact names precisely the programs the round lost.
+    ``get_pool_program(i)`` returns pool entry ``i`` decoded; each
+    caller passes its own decode cache.
     """
-    if get_pool_program is None:
-        get_pool_program = lambda i: Program.from_bytes(  # noqa: E731
-            bytes.fromhex(pool[i])
-        )
     seed = program_seed(spec.seed, index)
     generated = generate_program(
         seed, spec.profile, spec.max_insns, spec.ctx_size

@@ -81,7 +81,13 @@ def staleness_warning(
     payload: Dict, now: Optional[float] = None
 ) -> Optional[str]:
     """A human-readable warning when a snapshot has outlived its
-    declared interval by 2x — the publisher is likely dead."""
+    declared interval by 2x — the publisher is likely dead.
+
+    The ``phase == "done"`` snapshot a session writes when it closes
+    cleanly is final, not overdue, so it never warns.
+    """
+    if payload.get("phase") == "done":
+        return None
     now = time.time() if now is None else now
     interval = float(payload.get("interval_s", 0.0))
     age = now - float(payload.get("ts", 0.0))

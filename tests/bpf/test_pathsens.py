@@ -4,6 +4,7 @@ import pytest
 
 from repro.bpf import assemble
 from repro.bpf.verifier import PathSensitiveVerifier, Verifier
+from repro.fuzz.generator import generate_program
 
 def _both(text: str):
     prog = assemble(text)
@@ -161,3 +162,23 @@ class TestPruning:
         result = verifier.verify(prog)
         assert not result.ok
         assert "complexity limit" in result.errors[0].reason
+
+
+class TestWatchdog:
+    def test_deadline_surfaces_as_structured_timeout(self):
+        # The inherited deadline_s stops the path walk with the join
+        # walk's structured rejection, not a silent accept.
+        program = generate_program(3, "branchy", 64).program
+        for engine in (Verifier, PathSensitiveVerifier):
+            result = engine(deadline_s=1e-9).verify(program)
+            assert not result.ok and result.timed_out, engine.__name__
+            error = result.errors[0]
+            assert error.timeout
+            assert error.reason.startswith(
+                "verification exceeded its 1e-09s deadline after"
+            )
+
+    def test_generous_deadline_is_invisible(self):
+        program = generate_program(3, "branchy", 64).program
+        result = PathSensitiveVerifier(deadline_s=60.0).verify(program)
+        assert result.ok and not result.timed_out

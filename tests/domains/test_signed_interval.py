@@ -1,173 +1,194 @@
-"""Tests for the signed interval domain and bounds deduction."""
+"""Tests for the signed view of the reduced product.
 
-import pytest
+The product stores no signed bounds.  ``ScalarValue.signed_range``
+derives them (the interval's signed view met with the tnum's), the
+signed refinements ``refine_slt``/``sle``/``sgt``/``sge`` clamp that
+range, and ``Interval.from_signed`` maps a signed range back onto the
+unsigned interval.  Exhaustive width-4 soundness lives in
+``test_product_exhaustive.py``.
+"""
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.tnum import Tnum
-from repro.domains.interval import Interval
-from repro.domains.signed_interval import SignedInterval, deduce_bounds
+from repro.domains.interval import Interval, signed_bounds, to_signed
+from repro.domains.product import ScalarValue
 from tests.conftest import tnums
 
 W = 8
 svals = st.integers(-128, 127)
 
 
-def sintervals():
-    return st.builds(
-        lambda a, b: SignedInterval(min(a, b), max(a, b), W), svals, svals
-    )
+def pattern(value: int) -> int:
+    """The width-W bit pattern of a signed value (the bound encoding)."""
+    return value & 0xFF
+
+
+def values():
+    """Reduced width-W scalars: an unsigned range met with a tnum that
+    shares at least one member with it (so never ⊥)."""
+    def build(mask, a, b, pick):
+        lo, hi = min(a, b), max(a, b)
+        member = lo + pick % (hi - lo + 1)
+        return ScalarValue.make(
+            Tnum(member & ~mask, mask, W), Interval(lo, hi, W)
+        )
+
+    byte = st.integers(0, 255)
+    return st.builds(build, byte, byte, byte, byte)
 
 
 class TestConstruction:
     def test_const_wraps_unsigned_input(self):
-        si = SignedInterval.const(0xFF, W)
-        assert si.smin == si.smax == -1
+        assert ScalarValue.const(0xFF, W).signed_range() == (-1, -1)
 
     def test_top_bottom(self):
-        assert SignedInterval.top(W).cardinality() == 256
-        assert SignedInterval.bottom(W).is_bottom()
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SignedInterval(-200, 0, W)
-
-    def test_contains_uses_signed_view(self):
-        si = SignedInterval(-5, 5, W)
-        assert si.contains(0xFF)  # -1
-        assert si.contains(5)
-        assert not si.contains(100)
+        assert ScalarValue.top(W).signed_range() == (-128, 127)
+        lo, hi = ScalarValue.bottom(W).signed_range()
+        assert lo > hi
 
 
 class TestFromTnum:
     @given(tnums(W))
     def test_sound(self, t):
-        si = SignedInterval.from_tnum(t)
+        lo, hi = ScalarValue.from_tnum(t).signed_range()
         for c in t.concretize():
-            assert si.contains(c), (t, c)
+            assert lo <= to_signed(c, W) <= hi, (t, c)
 
     def test_known_negative_sign(self):
         t = Tnum.from_trits("1000000µ", width=W)
-        si = SignedInterval.from_tnum(t)
-        assert (si.smin, si.smax) == (-128, -127)
+        assert ScalarValue.from_tnum(t).signed_range() == (-128, -127)
 
     def test_unknown_sign_covers_both_halves(self):
+        # The interval [1, 129] straddles the sign boundary; the tnum
+        # still bounds the signed view to [-127, 1].
         t = Tnum.from_trits("µ0000001", width=W)
-        si = SignedInterval.from_tnum(t)
-        assert si.smin == -127 and si.smax == 1
+        assert ScalarValue.from_tnum(t).signed_range() == (-127, 1)
 
 
 class TestLattice:
-    @given(sintervals(), sintervals())
-    def test_join_meet_bounds(self, a, b):
-        j = a.join(b)
-        m = a.meet(b)
-        assert a.leq(j) and b.leq(j)
-        assert m.leq(a) and m.leq(b)
-
     def test_meet_disjoint_bottom(self):
-        assert SignedInterval(-10, -5, W).meet(SignedInterval(5, 10, W)).is_bottom()
+        x = ScalarValue.top(W).refine_sle(pattern(-5))
+        assert x.refine_sge(5).is_bottom()
 
 
 class TestTransformers:
-    @given(sintervals(), sintervals())
-    def test_add_sound(self, a, b):
-        r = a.add(b)
-        for x in (a.smin, a.smax):
-            for y in (b.smin, b.smax):
-                assert r.contains((x + y) & 0xFF)
-
-    def test_add_overflow_tops(self):
-        r = SignedInterval(100, 127, W).add(SignedInterval(100, 127, W))
-        assert (r.smin, r.smax) == (-128, 127)
-
-    def test_sub_sound(self):
-        a = SignedInterval(-10, 10, W)
-        b = SignedInterval(1, 5, W)
-        r = a.sub(b)
-        assert r.contains((-10 - 5) & 0xFF) and r.contains((10 - 1) & 0xFF)
-
-    def test_neg(self):
-        assert SignedInterval(-5, 3, W).neg() == SignedInterval(-3, 5, W)
-
-    def test_neg_int_min_tops(self):
-        r = SignedInterval(-128, 0, W).neg()
-        assert (r.smin, r.smax) == (-128, 127)
-
     def test_arshift_preserves_order(self):
-        r = SignedInterval(-16, 16, W).arshift(2)
-        assert (r.smin, r.smax) == (-4, 4)
+        neg = ScalarValue.from_range(0xF0, 0xFF, W).arshift(2)
+        assert (neg.umin(), neg.umax()) == (0xFC, 0xFF)  # [-4, -1]
+        pos = ScalarValue.from_range(16, 100, W).arshift(2)
+        assert (pos.umin(), pos.umax()) == (4, 25)
 
 
 class TestRefinement:
+    """``refine_s*`` take the bound as a bit pattern, like ``refine_u*``."""
+
     def test_slt_sge_window(self):
-        si = SignedInterval.top(W).refine_sge(-4).refine_slt(5)
-        assert (si.smin, si.smax) == (-4, 4)
+        x = ScalarValue.top(W).refine_slt(pattern(-2)).refine_sge(pattern(-8))
+        assert x.signed_range() == (-8, -3)
+        assert (x.umin(), x.umax()) == (0xF8, 0xFD)
+        y = ScalarValue.top(W).refine_sge(2).refine_slt(5)
+        assert (y.umin(), y.umax()) == (2, 4)
+
+    def test_window_across_zero_is_top(self):
+        # [-4, 4] is two unsigned ranges, whose hull is ⊤.
+        x = ScalarValue.top(W).refine_sge(pattern(-4)).refine_slt(5)
+        assert x == ScalarValue.top(W)
 
     def test_sgt_at_max_is_bottom(self):
-        assert SignedInterval.top(W).refine_sgt(127).is_bottom()
+        assert ScalarValue.top(W).refine_sgt(127).is_bottom()
+
+    def test_slt_at_min_is_bottom(self):
+        assert ScalarValue.top(W).refine_slt(pattern(-128)).is_bottom()
 
     def test_sle(self):
-        assert SignedInterval.top(W).refine_sle(-1).smax == -1
+        x = ScalarValue.top(W).refine_sle(pattern(-1))
+        assert x.signed_range()[1] == -1
 
-    @given(sintervals(), svals)
-    def test_refinements_sound(self, si, bound):
-        lo = max(si.smin, -120)
-        hi = min(si.smax, 120)
-        for x in range(lo, hi + 1):
-            if x < bound:
-                assert si.refine_slt(bound).contains(x & 0xFF)
-            if x >= bound:
-                assert si.refine_sge(bound).contains(x & 0xFF)
+    def test_bound_is_a_64_bit_pattern(self):
+        minus_one = (1 << 64) - 1
+        x = ScalarValue.from_range(0, 100)
+        assert x.refine_sgt(minus_one) == x
+        assert x.refine_slt(minus_one).is_bottom()
+
+    @given(values(), svals)
+    def test_refinements_sound(self, value, bound):
+        # Every member satisfying the predicate must survive refinement.
+        for x in range(256):
+            if not value.contains(x):
+                continue
+            sx = to_signed(x, W)
+            if sx < bound:
+                assert value.refine_slt(pattern(bound)).contains(x)
+            if sx <= bound:
+                assert value.refine_sle(pattern(bound)).contains(x)
+            if sx > bound:
+                assert value.refine_sgt(pattern(bound)).contains(x)
+            if sx >= bound:
+                assert value.refine_sge(pattern(bound)).contains(x)
 
 
 class TestConversions:
     def test_nonnegative_roundtrip(self):
-        si = SignedInterval(3, 100, W)
-        iv = si.to_unsigned()
+        iv = Interval.from_signed(3, 100, W)
         assert (iv.umin, iv.umax) == (3, 100)
+        assert signed_bounds(iv.umin, iv.umax, W) == (3, 100)
 
     def test_all_negative_maps_to_high_range(self):
-        si = SignedInterval(-4, -1, W)
-        iv = si.to_unsigned()
+        iv = Interval.from_signed(-4, -1, W)
         assert (iv.umin, iv.umax) == (0xFC, 0xFF)
 
     def test_straddling_gives_top(self):
-        assert SignedInterval(-1, 1, W).to_unsigned().is_top()
+        assert Interval.from_signed(-1, 1, W).is_top()
+
+    def test_empty_gives_bottom(self):
+        assert Interval.from_signed(5, 4, W).is_bottom()
 
     def test_from_unsigned(self):
-        si = SignedInterval.from_unsigned(Interval(0xF0, 0xFF, W))
-        assert (si.smin, si.smax) == (-16, -1)
+        sv = ScalarValue.from_range(0xF0, 0xFF, W)
+        assert sv.signed_range() == (-16, -1)
+
+    def test_inverts_signed_bounds_within_one_sign_half(self):
+        for lo in range(-8, 8):
+            for hi in range(lo, 8):
+                iv = Interval.from_signed(lo, hi, 4)
+                if lo < 0 <= hi:
+                    assert iv.is_top()
+                else:
+                    assert signed_bounds(iv.umin, iv.umax, 4) == (lo, hi)
 
 
 class TestDeduceBounds:
+    """The kernel's signed/unsigned/tnum deduction, as the product does
+    it: a signed refinement meets the interval, ``make`` reduces."""
+
     def test_tnum_tightens_signed(self):
         # tnum says sign bit is 1: signed view must become negative.
-        t = Tnum.from_trits("1µµµµµµµ", width=W)
-        tt, iv, si = deduce_bounds(
-            t, Interval.top(W), SignedInterval.top(W)
-        )
-        assert si.smax <= -1
+        x = ScalarValue.from_tnum(Tnum.from_trits("1µµµµµµµ", width=W))
+        assert x.signed_range()[1] <= -1
+        assert x.refine_sge(0).is_bottom()
+        assert x.refine_slt(0) == x
 
     def test_signed_tightens_unsigned(self):
-        # signed [-4, -1] forces unsigned [0xFC, 0xFF].
-        tt, iv, si = deduce_bounds(
-            Tnum.unknown(W), Interval.top(W), SignedInterval(-4, -1, W)
-        )
-        assert (iv.umin, iv.umax) == (0xFC, 0xFF)
-        # ...which in turn makes the tnum's high bits known 1.
-        assert tt.trit(7) == "1" and tt.trit(2) == "1"
+        # An unknown value refined < 0 knows its sign bit ...
+        neg = ScalarValue.top(W).refine_slt(0)
+        assert (neg.umin(), neg.umax()) == (0x80, 0xFF)
+        assert neg.tnum.trit(7) == "1"
+        # ... and signed [-4, -1] forces unsigned [0xFC, 0xFF], which in
+        # turn makes the tnum's high bits known 1.
+        x = neg.refine_sge(pattern(-4))
+        assert (x.umin(), x.umax()) == (0xFC, 0xFF)
+        assert x.tnum.trit(7) == "1" and x.tnum.trit(2) == "1"
 
     def test_contradiction_collapses_to_bottom(self):
-        tt, iv, si = deduce_bounds(
-            Tnum.const(5, W), Interval.top(W), SignedInterval(-4, -1, W)
-        )
-        assert tt.is_bottom() and iv.is_bottom() and si.is_bottom()
+        five = ScalarValue.const(5, W)
+        assert five.refine_slt(0).is_bottom()
+        assert five.refine_sle(pattern(-4)).is_bottom()
 
     @given(tnums(W))
     def test_deduction_is_sound(self, t):
-        tt, iv, si = deduce_bounds(
-            t, Interval.top(W), SignedInterval.top(W)
-        )
+        x = ScalarValue.from_tnum(t)
+        lo, hi = x.signed_range()
         for c in t.concretize():
-            assert tt.contains(c) and iv.contains(c) and si.contains(c)
+            assert x.contains(c) and lo <= to_signed(c, W) <= hi

@@ -100,6 +100,13 @@ def test_staleness_warning_after_twice_the_interval():
     assert "pid 7" in warning and "seq 3" in warning
 
 
+def test_a_done_snapshot_is_never_stale():
+    payload = {"interval_s": 2.0, "ts": 1000.0, "pid": 7, "seq": 3,
+               "phase": "done"}
+    assert staleness_warning(payload, now=1e9) is None
+    assert staleness_warning(dict(payload, phase="campaign"), now=1e9)
+
+
 def test_staleness_needs_a_declared_interval():
     # No interval declared (hand-written file): no liveness contract.
     assert staleness_warning({"ts": 0.0}, now=1e9) is None

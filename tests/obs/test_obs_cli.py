@@ -69,6 +69,19 @@ def test_stats_warns_on_stale_heartbeat(tmp_path, capsys):
     assert "WARN:" in out and "stale" in out
 
 
+def test_stats_never_warns_on_a_done_heartbeat(tmp_path, capsys):
+    # A cleanly closed session's last snapshot is final, not overdue.
+    HeartbeatWriter(tmp_path / "heartbeat.json", interval_s=0.05).publish(
+        {"phase": "done", "round": 2}
+    )
+    time.sleep(0.15)   # > 2x the declared interval
+    rc = main(["stats", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "phase=done" in out
+    assert "WARN:" not in out
+
+
 def test_stats_rejects_missing_directory(tmp_path, capsys):
     rc = main(["stats", str(tmp_path / "nope")])
     assert rc == 2

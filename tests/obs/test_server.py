@@ -50,6 +50,20 @@ def test_stats_endpoint_embeds_heartbeat_and_staleness(tmp_path, registry):
     assert "stale" in payload
 
 
+def test_stats_endpoint_never_calls_a_done_heartbeat_stale(tmp_path, registry):
+    HeartbeatWriter(tmp_path / "heartbeat.json", interval_s=0.05).publish(
+        {"phase": "done", "round": 2}
+    )
+    time.sleep(0.15)   # > 2x the declared interval
+    server = StatsServer(lambda: registry, obs_dir=tmp_path).start()
+    try:
+        payload = json.loads(_get(server.url + "/stats"))
+    finally:
+        server.stop()
+    assert payload["heartbeat"]["phase"] == "done"
+    assert "stale" not in payload
+
+
 def test_unknown_route_is_404(registry):
     server = StatsServer(lambda: registry).start()
     try:
