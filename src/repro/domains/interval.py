@@ -262,10 +262,14 @@ class Interval:
 
         The inverse of :func:`signed_bounds` (kernel signed→unsigned
         deduction): exact when the range stays within one sign half, ⊤
-        when it straddles zero, ⊥ when it is empty.
+        when it straddles zero, ⊥ when it is empty.  A non-empty range
+        outside ``s<width>`` raises ``ValueError``.
         """
         if smin > smax:
             return cls.bottom(width)
+        half = 1 << (width - 1)
+        if smin < -half or smax >= half:
+            raise ValueError(f"bounds [{smin}, {smax}] exceed s{width}")
         if smin < 0 <= smax:
             return cls.top(width)
         return cls(to_unsigned(smin, width), to_unsigned(smax, width), width)

@@ -8,6 +8,7 @@ unsigned interval.  Exhaustive width-4 soundness lives in
 ``test_product_exhaustive.py``.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -47,6 +48,12 @@ class TestConstruction:
         assert ScalarValue.top(W).signed_range() == (-128, 127)
         lo, hi = ScalarValue.bottom(W).signed_range()
         assert lo > hi
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            Interval.from_signed(-200, 0, W)
+        with pytest.raises(ValueError):
+            Interval.from_signed(0, 128, W)
 
 
 class TestFromTnum:
