@@ -159,6 +159,16 @@ _MIRRORED_OPS = {
 }
 
 
+#: What a context load of each size reads: the bytes are unknown, so a
+#: narrow load is an unknown zero-extended value.  One register per size,
+#: shared by every load.
+_CTX_LOADS: Dict[int, RegState] = {
+    size: RegState.from_scalar(ScalarValue.from_range(0, (1 << (8 * size)) - 1))
+    for size in (1, 2, 4)
+}
+_CTX_LOADS[8] = RegState.unknown()
+
+
 # -- transfer primitives -------------------------------------------------------
 
 
@@ -644,13 +654,11 @@ class Verifier:
     def _load(self, state: AbstractState, insn: Instruction, idx: int) -> None:
         ptr = _read_reg(state, insn.src, idx)
         size = insn.size_bytes()
-        check_mem_access(state, ptr, insn.off, size, idx, self.ctx_size)
+        off = check_mem_access(state, ptr, insn.off, size, idx, self.ctx_size)
         if ptr.region == Region.STACK:
-            value = load_stack(state, ptr, insn.off, size, idx)
+            value = load_stack(state, ptr, insn.off, size, idx, off)
         else:
-            value = RegState.unknown() if size == 8 else RegState.from_scalar(
-                ScalarValue.from_range(0, (1 << (8 * size)) - 1)
-            )
+            value = _CTX_LOADS[size]
         _write_reg(state, insn.dst, value, idx)
 
     def _store(self, state: AbstractState, insn: Instruction, idx: int) -> None:
@@ -660,11 +668,11 @@ class Verifier:
             value = _read_reg(state, insn.src, idx)
         else:
             value = RegState.const(insn.imm & U64)
-        check_mem_access(state, ptr, insn.off, size, idx, self.ctx_size)
+        off = check_mem_access(state, ptr, insn.off, size, idx, self.ctx_size)
         if ptr.region == Region.CTX and value.is_ptr():
             raise VerifierError(idx, "pointer store to ctx would leak an address")
         if ptr.region == Region.STACK:
-            store_stack(state, ptr, insn.off, size, value, idx)
+            store_stack(state, ptr, insn.off, size, value, idx, off)
 
     # -- calls --------------------------------------------------------------------------
 

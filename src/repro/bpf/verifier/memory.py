@@ -18,53 +18,59 @@ frame; valid bytes are offsets ``[-STACK_SIZE, 0)`` relative to it.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional
 
 from repro.bpf import isa
+from repro.core.tnum import Tnum
+from repro.domains.interval import signed_bounds
 from repro.domains.product import ScalarValue
 
 from .errors import VerifierError
 from .state import AbstractState, RegState, Region, StackSlot
 
-__all__ = ["check_mem_access", "stack_window", "load_stack", "store_stack"]
+__all__ = ["check_mem_access", "load_stack", "store_stack"]
+
+U64 = (1 << 64) - 1
 
 
-def stack_window(offset: ScalarValue, insn_index: int, size: int) -> Tuple[int, int]:
-    """Validate a stack access window and return its (umin, umax) offsets.
-
-    Offsets are signed (negative below the frame top), so interpret the
-    unsigned 64-bit abstract value through its signed bounds.
-    """
-    smin = offset.interval.smin()
-    smax = offset.interval.smax()
-    if smin < -isa.STACK_SIZE:
-        raise VerifierError(
-            insn_index,
-            f"stack access below frame: offset may be {smin} < -{isa.STACK_SIZE}",
-        )
-    if smax + size > 0:
-        raise VerifierError(
-            insn_index,
-            f"stack access above frame top: offset may reach {smax}+{size}",
-        )
-    return smin, smax
+def _signed(value: int) -> int:
+    """A 64-bit offset as a signed int (stack offsets are negative)."""
+    return value - (1 << 64) if value >= (1 << 63) else value
 
 
-def check_alignment(
-    offset: ScalarValue, size: int, insn_index: int, what: str
+def _check_window(
+    region: Region, lo: int, hi: int, size: int, insn_index: int, ctx_size: int
 ) -> None:
-    """Reject accesses whose abstract offset may be misaligned.
+    """Reject an access whose signed offset may lie anywhere in ``[lo, hi]``
+    unless its whole window stays inside the region.
 
-    This is the kernel's ``tnum_is_aligned(reg->var_off, size)`` check —
-    the tnum's low bits must be *known* zero modulo the access size.
+    For the context the upper bound is also the unsigned one: once
+    ``lo >= 0`` the offset's interval lies below 2**63.
     """
-    if size == 1:
-        return
-    if not offset.tnum.is_aligned(size):
-        raise VerifierError(
-            insn_index,
-            f"misaligned {what} access: offset {offset.tnum} not {size}-byte aligned",
-        )
+    if region is Region.STACK:
+        if lo < -isa.STACK_SIZE:
+            raise VerifierError(
+                insn_index,
+                f"stack access below frame: offset may be {lo} < -{isa.STACK_SIZE}",
+            )
+        if hi + size > 0:
+            raise VerifierError(
+                insn_index,
+                f"stack access above frame top: offset may reach {hi}+{size}",
+            )
+    elif region is Region.CTX:
+        if lo < 0:
+            raise VerifierError(
+                insn_index, f"ctx access below start: offset may be {lo}"
+            )
+        if hi + size > ctx_size:
+            raise VerifierError(
+                insn_index,
+                f"ctx access out of bounds: offset may reach "
+                f"{hi}+{size} > {ctx_size}",
+            )
+    else:  # pragma: no cover - regions are exhaustive
+        raise VerifierError(insn_index, f"unknown region {region}")
 
 
 def check_mem_access(
@@ -74,48 +80,43 @@ def check_mem_access(
     size: int,
     insn_index: int,
     ctx_size: int,
-) -> None:
+) -> Optional[int]:
     """Check one load/store against the pointed-to region.
 
     ``insn_offset`` is the constant displacement encoded in the
-    instruction; the register's own abstract offset is added to it.
+    instruction; the register's own abstract offset is added to it.  The
+    window must fall inside the region for every offset the pointer may
+    hold, and the offset must be aligned to ``size``: the kernel's
+    ``tnum_is_aligned(reg->var_off, size)``, which needs the tnum's low
+    bits *known* zero.
+
+    A pointer whose offset is a constant (kernel ``tnum_is_const``) is
+    checked on plain ints, and the access's signed offset into the region
+    is returned for :func:`load_stack` / :func:`store_stack` to reuse;
+    a variable offset returns None.
     """
     if not ptr.is_ptr():
         raise VerifierError(insn_index, "memory access through non-pointer")
-    total = ptr.offset.add(ScalarValue.const(insn_offset))
-    if ptr.region == Region.STACK:
-        stack_window(total, insn_index, size)
-        check_alignment(total, size, insn_index, "stack")
-    elif ptr.region == Region.CTX:
-        umin, umax = total.umin(), total.umax()
-        smin = total.interval.smin()
-        if smin < 0:
-            raise VerifierError(
-                insn_index, f"ctx access below start: offset may be {smin}"
-            )
-        if umax + size > ctx_size:
-            raise VerifierError(
-                insn_index,
-                f"ctx access out of bounds: offset may reach "
-                f"{umax}+{size} > {ctx_size}",
-            )
-        check_alignment(total, size, insn_index, "ctx")
-    else:  # pragma: no cover - regions are exhaustive
-        raise VerifierError(insn_index, f"unknown region {ptr.region}")
-
-
-def _const_stack_offset(ptr: RegState, insn_offset: int, insn_index: int) -> int:
-    """Stack state tracking requires a constant slot address."""
-    total = ptr.offset.add(ScalarValue.const(insn_offset))
-    if not total.is_const():
-        # Variable-offset stack writes poison precision; the classic
-        # verifier rejects variable writes outright. We do the same.
-        raise VerifierError(
-            insn_index, "variable-offset stack write/read of tracked slot"
-        )
-    value = total.const_value()
-    # Interpret as signed (offsets are negative).
-    return value - (1 << 64) if value >= (1 << 63) else value
+    region = ptr.region
+    base = ptr.offset.reduced_const()
+    if base is not None:
+        off = _signed((base + insn_offset) & U64)
+        _check_window(region, off, off, size, insn_index, ctx_size)
+        if not off & (size - 1):
+            return off
+        offset = Tnum.const(off)  # built for the message only
+    else:
+        total = ptr.offset.add(ScalarValue.const(insn_offset))
+        iv = total.interval
+        lo, hi = signed_bounds(iv.umin, iv.umax, iv.width)
+        _check_window(region, lo, hi, size, insn_index, ctx_size)
+        offset = total.tnum
+        if offset.is_aligned(size):
+            return None
+    raise VerifierError(
+        insn_index,
+        f"misaligned {region.value} access: offset {offset} not {size}-byte aligned",
+    )
 
 
 def store_stack(
@@ -125,9 +126,22 @@ def store_stack(
     size: int,
     value: RegState,
     insn_index: int,
+    off: Optional[int],
 ) -> None:
-    """Update stack-slot tracking for a store (bounds already checked)."""
-    off = _const_stack_offset(ptr, insn_offset, insn_index)
+    """Update stack-slot tracking for a store (bounds already checked).
+
+    ``off`` is the signed frame offset :func:`check_mem_access` returned,
+    or None to derive it here from ``ptr`` and ``insn_offset``.
+    """
+    if off is None:
+        total = ptr.offset.add(ScalarValue.const(insn_offset))
+        if not total.is_const():
+            # Variable-offset stack writes poison precision; the classic
+            # verifier rejects variable writes outright. We do the same.
+            raise VerifierError(
+                insn_index, "variable-offset stack write/read of tracked slot"
+            )
+        off = _signed(total.const_value())
     slot = (off // 8) * 8  # base of the containing 8-byte slot
     if size == 8 and off % 8 == 0:
         state.set_slot(slot, StackSlot.spill(value))
@@ -137,10 +151,9 @@ def store_stack(
             insn_index, "cannot spill pointer with partial-width store"
         )
     # Partial writes degrade every touched slot to MISC.
-    first = (off // 8) * 8
     last = ((off + size - 1) // 8) * 8
     misc = StackSlot.misc()
-    for s in range(first, last + 8, 8):
+    for s in range(slot, last + 8, 8):
         state.set_slot(s, misc)
 
 
@@ -150,33 +163,38 @@ def load_stack(
     insn_offset: int,
     size: int,
     insn_index: int,
+    off: Optional[int],
 ) -> RegState:
     """Read back a tracked stack slot (bounds already checked).
 
-    Constant offsets read precisely (spilled registers come back exactly).
-    Variable offsets are permitted — this is where tnum alignment shines —
-    provided every slot the window may touch is initialized and holds no
-    pointer; the result is then an unknown scalar (kernel
+    ``off`` is as for :func:`store_stack`.  Constant offsets read
+    precisely (spilled registers come back exactly).  Variable offsets
+    are permitted — this is where tnum alignment shines — provided every
+    slot the window may touch is initialized and holds no pointer; the
+    result is then an unknown scalar (kernel
     ``check_stack_range_initialized`` behaviour).
     """
-    total = ptr.offset.add(ScalarValue.const(insn_offset))
-    if total.is_const():
-        value = total.const_value()
-        off = value - (1 << 64) if value >= (1 << 63) else value
-        slot = (off // 8) * 8
-        entry = state.slot_for(slot)
-        if entry.kind == StackSlot.UNWRITTEN:
-            raise VerifierError(
-                insn_index, f"read of uninitialized stack at {off}"
-            )
-        if entry.kind == StackSlot.SPILL and size == 8 and off % 8 == 0:
-            return entry.value
-        if entry.kind == StackSlot.SPILL and entry.value.is_ptr():
-            raise VerifierError(insn_index, "partial read of spilled pointer")
-        return RegState.unknown()
+    if off is None:
+        total = ptr.offset.add(ScalarValue.const(insn_offset))
+        if not total.is_const():
+            return _load_variable(state, total, size, insn_index)
+        off = _signed(total.const_value())
+    entry = state.slot_for((off // 8) * 8)
+    if entry.kind == StackSlot.UNWRITTEN:
+        raise VerifierError(insn_index, f"read of uninitialized stack at {off}")
+    if entry.kind == StackSlot.SPILL and size == 8 and off % 8 == 0:
+        return entry.value
+    if entry.kind == StackSlot.SPILL and entry.value.is_ptr():
+        raise VerifierError(insn_index, "partial read of spilled pointer")
+    return RegState.unknown()
 
-    smin = total.interval.smin()
-    smax = total.interval.smax()
+
+def _load_variable(
+    state: AbstractState, total: ScalarValue, size: int, insn_index: int
+) -> RegState:
+    """:func:`load_stack` at a variable offset ``total``."""
+    iv = total.interval
+    smin, smax = signed_bounds(iv.umin, iv.umax, iv.width)
     first = (smin // 8) * 8
     last = ((smax + size - 1) // 8) * 8
     for slot in range(first, last + 8, 8):

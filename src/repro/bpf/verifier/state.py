@@ -108,14 +108,14 @@ class RegState:
 
     @classmethod
     def const(cls, value: int) -> "RegState":
-        if 0 <= value < _CONST_REG_MAX:
-            cached = _CONST_REGS.get(value)
-            if cached is None:
-                cached = _CONST_REGS[value] = cls.from_scalar(
-                    ScalarValue.const(value)
-                )
-            return cached
-        return cls.from_scalar(ScalarValue.const(value))
+        cached = _CONST_REGS.get(value)
+        if cached is None:
+            if len(_CONST_REGS) >= _CONST_REGS_MAX:
+                _CONST_REGS.clear()
+            cached = _CONST_REGS[value] = cls.from_scalar(
+                ScalarValue.const(value)
+            )
+        return cached
 
     @classmethod
     def unknown(cls) -> "RegState":
@@ -186,9 +186,10 @@ class RegState:
 #: produces one of these, so identity checks catch them everywhere.
 _NOT_INIT = RegState(RegKind.NOT_INIT)
 _UNKNOWN = RegState(RegKind.SCALAR, scalar=ScalarValue.top())
-#: Interned small-constant registers (immediates dominate fuzz programs).
+#: Interned constant registers (immediates dominate fuzz programs), one
+#: bounded table emptied when full, as ``ScalarValue.const``'s is.
 _CONST_REGS: Dict[int, RegState] = {}
-_CONST_REG_MAX = 1024
+_CONST_REGS_MAX = 256
 
 
 class StackSlot:

@@ -27,7 +27,7 @@ with :meth:`Interval.from_signed
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core import (
     our_mul,
@@ -56,10 +56,13 @@ __all__ = ["ScalarValue"]
 #: produces one of these; sharing them skips the construction entirely.
 _TOP: Dict[int, "ScalarValue"] = {}
 _BOTTOM: Dict[int, "ScalarValue"] = {}
-#: Interned small constants (immediates, loop bounds, offsets dominate
-#: the fuzz workload); bounded so the cache cannot grow without limit.
-_CONST_CACHE: Dict[Tuple[int, int], "ScalarValue"] = {}
-_CONST_CACHE_MAX = 1024
+#: Interned constants, keyed by ``(value, width)``.  Immediates, stack
+#: offsets and folded results dominate the walk, and most of them are
+#: large (negative offsets, wide immediates), so every value is interned;
+#: the table is emptied when full, which bounds what a long-running
+#: process keeps.
+_CONSTS: Dict[Tuple[int, int], "ScalarValue"] = {}
+_CONSTS_MAX = 256
 
 
 class ScalarValue:
@@ -105,16 +108,16 @@ class ScalarValue:
 
     @classmethod
     def const(cls, value: int, width: int = 64) -> "ScalarValue":
-        v = value & ((1 << width) - 1)
-        if v < _CONST_CACHE_MAX:
-            key = (v, width)
-            cached = _CONST_CACHE.get(key)
-            if cached is None:
-                cached = _CONST_CACHE[key] = cls(
-                    Tnum.const(v, width), Interval.const(v, width)
-                )
-            return cached
-        return cls(Tnum.const(v, width), Interval.const(v, width))
+        key = (value & ((1 << width) - 1), width)
+        cached = _CONSTS.get(key)
+        if cached is None:
+            if len(_CONSTS) >= _CONSTS_MAX:
+                _CONSTS.clear()
+            v = key[0]
+            cached = _CONSTS[key] = cls(
+                Tnum(v, 0, width), Interval.const(v, width)
+            )
+        return cached
 
     @classmethod
     def top(cls, width: int = 64) -> "ScalarValue":
@@ -290,8 +293,12 @@ class ScalarValue:
             )
         return self._binary(other, tnum_mod, Interval.umod)
 
-    def _const_value(self):
-        """The value of a reduced constant, else None (cf. _const_operands)."""
+    def reduced_const(self) -> Optional[int]:
+        """The value when the tnum and the interval both pin it, else None.
+
+        The test every constant fast path makes (cf.
+        :meth:`_const_operands`), without building anything.
+        """
         t = self.tnum
         if t.mask:
             return None
@@ -302,28 +309,28 @@ class ScalarValue:
         return None
 
     def neg(self) -> "ScalarValue":
-        v = self._const_value()
+        v = self.reduced_const()
         if v is not None:
             return ScalarValue.const(-v, self.width)
         t = tnum_neg(self.tnum)
         return ScalarValue.make(t, self.interval.neg())
 
     def lshift(self, shift: int) -> "ScalarValue":
-        v = self._const_value()
+        v = self.reduced_const()
         if v is not None:
             return ScalarValue.const(v << shift, self.width)
         t = tnum_lshift(self.tnum, shift)
         return ScalarValue.make(t, self.interval.lshift(shift))
 
     def rshift(self, shift: int) -> "ScalarValue":
-        v = self._const_value()
+        v = self.reduced_const()
         if v is not None:
             return ScalarValue.const(v >> shift, self.width)
         t = tnum_rshift(self.tnum, shift)
         return ScalarValue.make(t, self.interval.rshift(shift))
 
     def arshift(self, shift: int) -> "ScalarValue":
-        v = self._const_value()
+        v = self.reduced_const()
         if v is not None:
             if v >> (self.width - 1):  # sign-extend, then shift
                 v -= 1 << self.width

@@ -305,8 +305,21 @@ class TransferCollector:
             return
         bits = min(bin(tnum.mask).count("1"), (umax - umin).bit_length())
         hist[bits] = hist.get(bits, 0) + 1
+        if not label.startswith("refine_"):
+            self._note_at(idx, label, umin, umax)
+
+    def record_at(self, idx: int, label: str, scalar) -> None:
+        """:meth:`record` for ``at`` alone, with the same skips: the
+        near-miss predicate reads nothing else."""
         if label.startswith("refine_"):
             return
+        tnum = scalar.tnum
+        umin = scalar.interval.umin
+        umax = scalar.interval.umax
+        if not (tnum.value & tnum.mask or umin > umax):   # not bottom
+            self._note_at(idx, label, umin, umax)
+
+    def _note_at(self, idx: int, label: str, umin: int, umax: int) -> None:
         prev = self.at.get(idx)
         if prev is None:
             self.at[idx] = (label, umin, umax)
@@ -587,7 +600,7 @@ def _still_near_miss(
     input_seed_base: int,
 ) -> bool:
     collector = TransferCollector()
-    oracle.on_transfer = collector.record
+    oracle.on_transfer = collector.record_at
     threshold = spec.tightness_seed_threshold
 
     def may_reach_threshold(result) -> bool:

@@ -31,9 +31,10 @@ donors and perturbed with the same :data:`INTERESTING_IMMS` /
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bpf import isa
 from repro.bpf.builder import ProgramBuilder
@@ -192,6 +193,7 @@ class ProgramGenerator:
             )
         self.seed = seed
         self.profile = PROFILES[profile]
+        self._plan = _PLANS[profile]
         self.max_insns = max(4, max_insns)
         self.ctx_size = ctx_size
         self._rng = random.Random(seed)
@@ -232,13 +234,12 @@ class ProgramGenerator:
         depth: int,
     ) -> int:
         """Emit instructions worth roughly ``budget`` slots; returns cost."""
-        cats, weights = self.profile.categories()
+        emitters, cum_weights = self._plan
         spent = 0
         while spent < budget:
-            cat = rng.choices(cats, weights)[0]
+            emit = rng.choices(emitters, cum_weights=cum_weights)[0]
             remaining = budget - spent
-            emit = getattr(self, f"_emit_{cat}")
-            cost = emit(b, rng, state, remaining, depth)
+            cost = emit(self, b, rng, state, remaining, depth)
             if cost == 0:
                 # Category wasn't applicable (no operands / no budget):
                 # fall back to something always emittable.
@@ -524,6 +525,22 @@ class ProgramGenerator:
         state.clobber(dst)
         state.scalars.add(dst)
         return 8
+
+
+def _sampling_plan(
+    profile: OpcodeProfile,
+) -> Tuple[List[Callable[..., int]], List[float]]:
+    """A profile's emitters in category order, with their cumulative
+    weights: what ``rng.choices`` would otherwise rebuild per draw."""
+    cats, weights = profile.categories()
+    return (
+        [getattr(ProgramGenerator, f"_emit_{cat}") for cat in cats],
+        list(itertools.accumulate(weights)),
+    )
+
+
+#: Per profile name, resolved once instead of per instruction.
+_PLANS = {name: _sampling_plan(p) for name, p in PROFILES.items()}
 
 
 def generate_program(

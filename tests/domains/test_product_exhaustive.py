@@ -7,8 +7,11 @@ A refinement must keep every member that satisfies its predicate and
 may only narrow the value; an arithmetic shift must contain the shift
 of every member.
 
-Covered: the four signed branch refinements against every bound, and
-``arshift`` at every shift.
+Covered: the ten signed, unsigned and equality branch refinements
+against every bound, and ``arshift`` at every shift.  The constant fast
+paths of the binary transfers, ``neg`` and the shifts are checked on
+every pair of constants: each returns ``ScalarValue.const`` of the
+concrete result, and the generic path it short-cuts contains it.
 """
 
 import operator
@@ -27,6 +30,32 @@ SIGNED_PREDICATES = {
     "sle": operator.le,
     "sgt": operator.gt,
     "sge": operator.ge,
+}
+UNSIGNED_PREDICATES = {
+    "ult": operator.lt,
+    "ule": operator.le,
+    "ugt": operator.gt,
+    "uge": operator.ge,
+    "eq": operator.eq,
+    "ne": operator.ne,
+}
+
+#: Concrete semantics of each binary transfer, before truncation to W
+#: bits (BPF defines x / 0 == 0 and x % 0 == x).
+BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "and_": operator.and_,
+    "or_": operator.or_,
+    "xor": operator.xor,
+    "div": lambda a, b: a // b if b else 0,
+    "mod": lambda a, b: a % b if b else a,
+}
+SHIFTS = {
+    "lshift": operator.lshift,
+    "rshift": operator.rshift,
+    "arshift": lambda a, s: to_signed(a, W) >> s,
 }
 
 
@@ -53,9 +82,9 @@ def members(value):
     return [x for x in range(LIMIT + 1) if value.contains(x)]
 
 
-@pytest.mark.parametrize("name", sorted(SIGNED_PREDICATES))
-def test_signed_refinement_sound(name):
-    holds = SIGNED_PREDICATES[name]
+def unsound_refinements(name, holds, view):
+    """Members a refinement drops although they satisfy its predicate,
+    compared in ``view`` (signed or unsigned)."""
     unsound = []
     for value in VALUES:
         kept = members(value)
@@ -63,13 +92,27 @@ def test_signed_refinement_sound(name):
         for bound in range(LIMIT + 1):
             refined = refine(bound)
             assert refined.leq(value), (value, bound, refined)
-            signed_bound = to_signed(bound, W)
             unsound += [
                 (value, bound, x, refined)
                 for x in kept
-                if holds(to_signed(x, W), signed_bound)
-                and not refined.contains(x)
+                if holds(view(x), view(bound)) and not refined.contains(x)
             ]
+    return unsound
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_PREDICATES))
+def test_signed_refinement_sound(name):
+    unsound = unsound_refinements(
+        name, SIGNED_PREDICATES[name], lambda x: to_signed(x, W)
+    )
+    assert not unsound, unsound[:5]
+
+
+@pytest.mark.parametrize("name", sorted(UNSIGNED_PREDICATES))
+def test_unsigned_refinement_sound(name):
+    unsound = unsound_refinements(
+        name, UNSIGNED_PREDICATES[name], lambda x: x
+    )
     assert not unsound, unsound[:5]
 
 
@@ -94,3 +137,42 @@ def test_arshift_sound():
                 )
             ]
     assert not unsound, unsound[:5]
+
+
+CONSTS = [ScalarValue.const(a, W) for a in range(LIMIT + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_binary_const_fast_path(name, monkeypatch):
+    concrete = BINARY[name]
+    fast = {
+        (a, b): getattr(CONSTS[a], name)(CONSTS[b])
+        for a in range(LIMIT + 1)
+        for b in range(LIMIT + 1)
+    }
+    # Without the fast path every pair takes the generic transfer.
+    monkeypatch.setattr(ScalarValue, "_const_operands", lambda self, other: None)
+    for (a, b), got in fast.items():
+        assert got == ScalarValue.const(concrete(a, b), W), (a, b, got)
+        generic = getattr(CONSTS[a], name)(CONSTS[b])
+        assert got.leq(generic), (a, b, got, generic)
+
+
+@pytest.mark.parametrize("name", ["neg", *sorted(SHIFTS)])
+def test_unary_const_fast_path(name, monkeypatch):
+    if name == "neg":
+        cases = {(a,): -a for a in range(LIMIT + 1)}
+    else:
+        cases = {
+            (a, s): SHIFTS[name](a, s)
+            for a in range(LIMIT + 1)
+            for s in range(W)
+        }
+    fast = {
+        args: getattr(CONSTS[args[0]], name)(*args[1:]) for args in cases
+    }
+    monkeypatch.setattr(ScalarValue, "reduced_const", lambda self: None)
+    for args, got in fast.items():
+        assert got == ScalarValue.const(cases[args], W), (args, got)
+        generic = getattr(CONSTS[args[0]], name)(*args[1:])
+        assert got.leq(generic), (args, got, generic)
