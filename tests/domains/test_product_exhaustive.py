@@ -10,8 +10,9 @@ of every member.
 Covered: the ten signed, unsigned and equality branch refinements
 against every bound, and ``arshift`` at every shift.  The constant fast
 paths of the binary transfers, ``neg`` and the shifts are checked on
-every pair of constants: each returns ``ScalarValue.const`` of the
-concrete result, and the generic path it short-cuts contains it.
+every pair of constants (a constant and a shift for the shifts): each
+returns ``ScalarValue.const`` of the concrete result, and the generic
+path it short-cuts contains it.
 """
 
 import operator
