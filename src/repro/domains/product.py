@@ -57,10 +57,10 @@ __all__ = ["ScalarValue"]
 _TOP: Dict[int, "ScalarValue"] = {}
 _BOTTOM: Dict[int, "ScalarValue"] = {}
 #: Interned constants, keyed by ``(value, width)``.  Immediates, stack
-#: offsets and folded results dominate the walk, and most of them are
-#: large (negative offsets, wide immediates), so every value is interned;
-#: the table is emptied when full, which bounds what a long-running
-#: process keeps.
+#: offsets and folded results dominate the walk, and about half of them
+#: are large (negative offsets, wide immediates), so every value is
+#: interned; the table is emptied when full, which bounds what a
+#: long-running process keeps.
 _CONSTS: Dict[Tuple[int, int], "ScalarValue"] = {}
 _CONSTS_MAX = 256
 
