@@ -528,9 +528,10 @@ class VerdictCache:
         surfaces as one clear message naming the file, never a traceback
         from the decoder.
         """
+        fresh = cls(max_entries=max_entries)   # the constructor's size check
         store = Path(path)
         if not store.exists():
-            return cls(max_entries=max_entries)
+            return fresh
         try:
             text = store.read_text()
         except OSError as exc:

@@ -144,7 +144,7 @@ class DifferentialOracle:
         """Verify ``program``, then replay it concretely and compare.
 
         ``replay_if``, when given, sees the walk's result before any
-        plan is built or replay made; when it returns False the report
+        step is built or replay made; when it returns False the report
         carries only the verdict (``runs == 0``).  Callers that need
         just the walk's answer, such as shrink predicates, skip the
         replays with it.
@@ -211,66 +211,67 @@ class DifferentialOracle:
                 report.runs = 1
             return report
 
-        plans = self._build_plans(program, verifier.states_at)
+        steps = self._build_steps(program, verifier.states_at)
         report = OracleReport(verdict="accepted")
         # Replay batching: everything that is per-program (not per-input)
-        # is computed exactly once — the observation plan derived from
-        # the verifier's states, its constant-register fast form, and
-        # the ALU destination map for range tracking — and a single
-        # Machine is reset per input instead of reallocated.  The
-        # per-input seeds and context buffers are kept across calls with
-        # the same seed base.
-        fast = _fast_plans(plans)
-        # Destination register per ALU instruction, shared by every
-        # replay — the result written by instruction i is observable in
-        # the registers at the *next* step.  -1 marks untracked slots.
-        dst_arr: Optional[List[int]] = None
-        if self.collect_ranges:
-            dst_arr = [
-                insn.dst if insn.is_alu() else -1 for insn in program.insns
-            ]
+        # is computed exactly once — the replay steps derived from the
+        # verifier's states — and a single Machine is reset per input
+        # instead of reallocated.  The per-input seeds and context
+        # buffers are kept across calls with the same seed base.
         seeds, ctxs = self._inputs(input_seed_base)
         machine = Machine(step_limit=self.step_limit)
         for seed, ctx in zip(seeds, ctxs):
             machine.reset(ctx)
-            self._run_one(machine, program, plans, fast, seed, report, dst_arr)
+            self._run_one(machine, program, steps, seed, report)
             report.runs += 1
             if len(report.violations) >= self.max_violations:
                 break
         return report
 
-    # -- observation plan -----------------------------------------------------
+    # -- replay steps ---------------------------------------------------------
 
-    def _build_plans(
+    def _build_steps(
         self, program: Program, states_at: Dict[int, AbstractState]
-    ) -> List[Optional[List[Tuple]]]:
-        """Per-instruction containment plan, computed once per program.
+    ) -> List[Tuple]:
+        """One replay step per instruction, built once per program.
 
         Every replay checks the same abstract state at the same program
         point, so the per-register work — skipping NOT_INIT registers,
         unpacking the tnum/interval pair, resolving the pointer region
-        base — is hoisted out of the replay loop.  A plan entry is
-        ``(reg, tnum_notmask, tnum_value, umin, umax, base, obj,
-        region)``: membership of a concrete value ``c`` reduces to two
-        integer comparisons (``c & notmask == value`` and ``umin <= c <=
-        umax``), applied to ``(c - base) & U64`` for pointers.  ``obj``
-        (the abstract scalar) and ``region`` are kept only for violation
-        messages.  ``None`` marks a program point the verifier never
-        reached.
+        base — is hoisted out of the replay loop.  A register's check is
+        ``(notmask, value, umin, umax, base, obj, region)``: a concrete
+        value ``c`` is a member when ``c & notmask == value`` and ``umin
+        <= c <= umax``, applied to ``(c - base) & U64`` for pointers.
+        ``obj`` (the abstract scalar) and ``region`` are kept only for
+        violation messages.  Copy-on-write states share ``RegState``
+        objects across instructions and registers, so each check is
+        built and classified once per distinct object (by identity: the
+        states keep them alive for the whole build).
 
-        Copy-on-write states share ``RegState`` objects across
-        instructions, so each register's entry is built once per
-        distinct object (by identity: the states keep them alive for the
-        whole build).
+        Most checks admit exactly one concrete value: a scalar constant,
+        or a pointer at a constant offset (r1, r10).  A step is
+        ``(getter, expected, rest, entries, dst)``: ``getter``, an
+        ``operator.itemgetter`` over those registers (None when there
+        are none), must return ``expected`` (``(base + offset) & U64``
+        for a pointer); ``rest`` holds the ``(reg, check)`` pairs of the
+        other registers, and ``entries`` every pair in register order,
+        which the violation path reports from.  ``entries`` is None at a
+        program point the verifier never reached.  ``dst`` is the
+        register an ALU instruction writes when ranges are collected,
+        else -1.
         """
-        plans: List[Optional[List[Tuple]]] = []
-        built: List[Dict[int, Tuple]] = [{} for _ in range(isa.MAX_REG)]
-        not_init = RegKind.NOT_INIT
-        for idx in range(len(program.insns)):
+        steps: List[Tuple] = []
+        built: Dict[int, Tuple] = {}
+        not_init = RegKind.NOT_INIT  # hoisted: an Enum member read is slow
+        for idx, insn in enumerate(program.insns):
+            dst = insn.dst if self.collect_ranges and insn.is_alu() else -1
             state = states_at.get(idx)
             if state is None:
-                plans.append(None)
+                steps.append((None, None, None, None, dst))
                 continue
+            const_regs: List[int] = []
+            singles: List[int] = []
+            rest: List[Tuple] = []
             entries: List[Tuple] = []
             for r in range(isa.MAX_REG):
                 # get_reg: a plain read must not un-share the COW state's
@@ -279,9 +280,8 @@ class DifferentialOracle:
                 abstract = state.get_reg(r)
                 if abstract.kind is not_init:
                     continue  # no claim made; nothing to contradict
-                memo = built[r]
-                entry = memo.get(id(abstract))
-                if entry is None:
+                known = built.get(id(abstract))
+                if known is None:
                     if abstract.kind is RegKind.SCALAR:
                         scalar = abstract.scalar
                         base = region = None
@@ -289,13 +289,33 @@ class DifferentialOracle:
                         scalar = abstract.offset
                         base, region = _REGIONS[abstract.region]
                     t, iv = scalar.tnum, scalar.interval
-                    entry = memo[id(abstract)] = (
-                        r, ~t.mask & U64, t.value, iv.umin, iv.umax,
-                        base, scalar, region,
+                    notmask, value = ~t.mask & U64, t.value
+                    umin, umax = iv.umin, iv.umax
+                    if notmask == U64 and umin <= value <= umax:
+                        single: Optional[int] = value
+                    elif umin == umax and umin & notmask == value:
+                        single = umin
+                    else:
+                        single = None
+                    if single is not None and base is not None:
+                        single = (base + single) & U64
+                    known = built[id(abstract)] = (
+                        (notmask, value, umin, umax, base, scalar, region),
+                        single,
                     )
+                check, single = known
+                entry = (r, check)
                 entries.append(entry)
-            plans.append(entries)
-        return plans
+                if single is None:
+                    rest.append(entry)
+                else:
+                    const_regs.append(r)
+                    singles.append(single)
+            # A one-item itemgetter returns the item, not a 1-tuple.
+            getter = operator.itemgetter(*const_regs) if const_regs else None
+            expected = singles[0] if len(singles) == 1 else tuple(singles)
+            steps.append((getter, expected, rest, entries, dst))
+        return steps
 
     # -- concrete replay ------------------------------------------------------
 
@@ -333,41 +353,37 @@ class DifferentialOracle:
         self,
         machine: Machine,
         program: Program,
-        plans: List[Optional[List[Tuple]]],
-        fast: List[Optional[Tuple]],
+        steps: List[Tuple],
         seed: int,
         report: OracleReport,
-        dst_arr: Optional[List[int]] = None,
     ) -> None:
-        # Range tracking remembers the previously executed index: the
-        # result instruction p wrote is read from the registers at the
-        # step that follows it.  Interpreter registers are already masked
-        # to 64 bits.
-        prev: List[int] = [-1]
+        # Range tracking carries the previous step's index and ALU
+        # destination: the result instruction p wrote is read from the
+        # registers at the step that follows it.  Interpreter registers
+        # are already masked to 64 bits.
+        prev_idx = prev_dst = -1
         ranges = report.concrete_ranges
         violations = report.violations
         max_violations = self.max_violations
-        # The fast form counts a whole plan per step, as the loop below
-        # does unless a violation, or a cut-off of zero, stops it early.
+        # The fast form counts every entry of a step at once, as the loop
+        # below does unless a violation, or a cut-off of zero, stops it
+        # early.
         fast_ok = max_violations > 0
 
         def on_step(idx: int, regs: List[int]) -> None:
-            if dst_arr is not None:
-                p = prev[0]
-                prev[0] = idx
-                if p >= 0:
-                    dst = dst_arr[p]
-                    if dst >= 0:
-                        value = regs[dst]
-                        span = ranges.get(p)
-                        if span is None:
-                            ranges[p] = [value, value]
-                        elif value < span[0]:
-                            span[0] = value
-                        elif value > span[1]:
-                            span[1] = value
-            step = fast[idx]
-            if step is None:
+            nonlocal prev_idx, prev_dst
+            getter, expected, rest, entries, dst = steps[idx]
+            if prev_dst >= 0:
+                result = regs[prev_dst]
+                span = ranges.get(prev_idx)
+                if span is None:
+                    ranges[prev_idx] = [result, result]
+                elif result < span[0]:
+                    span[0] = result
+                elif result > span[1]:
+                    span[1] = result
+            prev_idx, prev_dst = idx, dst
+            if entries is None:
                 violations.append(Violation(
                     "unverified_pc", idx, None, None, seed,
                     "execution reached an instruction the verifier "
@@ -375,46 +391,36 @@ class DifferentialOracle:
                 ))
                 return
             if fast_ok and not violations:
-                # Fast form (see _fast_plans): when every register is
-                # contained, the count is the plan's length.  Otherwise
-                # the loop below redoes the step and reports in order.
-                get_consts, consts, rest, length = step
-                if get_consts is None or get_consts(regs) == consts:
-                    for r, notmask, value, umin, umax, base in rest:
-                        concrete = regs[r]
+                # Fast form: when every register is contained, the count
+                # is the step's length.  Otherwise the loop below redoes
+                # the step and reports in order.
+                if getter is None or getter(regs) == expected:
+                    for r, (notmask, value, umin, umax, base, _, _) in rest:
+                        c = regs[r]
                         if base is not None:
-                            concrete = (concrete - base) & U64
-                        if not (
-                            concrete & notmask == value
-                            and umin <= concrete <= umax
-                        ):
+                            c = (c - base) & U64
+                        if not (c & notmask == value and umin <= c <= umax):
                             break
                     else:
-                        report.checks += length
+                        report.checks += len(entries)
                         return
             checks = 0
-            for r, notmask, value, umin, umax, base, obj, region in plans[idx]:
+            for r, (notmask, value, umin, umax, base, obj, region) in entries:
                 concrete = regs[r]
                 checks += 1
-                if base is None:
-                    if not (
-                        concrete & notmask == value
-                        and umin <= concrete <= umax
-                    ):
+                # A pointer's base + offset must account for the address.
+                c = concrete if base is None else (concrete - base) & U64
+                if not (c & notmask == value and umin <= c <= umax):
+                    if base is None:
                         violations.append(Violation(
                             "containment", idx, r, concrete, seed,
                             f"r{r} = {concrete:#x} escapes abstract {obj}",
                         ))
-                else:  # pointer: base + offset must account for the address
-                    offset = (concrete - base) & U64
-                    if not (
-                        offset & notmask == value
-                        and umin <= offset <= umax
-                    ):
+                    else:
                         violations.append(Violation(
                             "pointer", idx, r, concrete, seed,
                             f"r{r} = {concrete:#x} has {region} "
-                            f"offset {offset:#x} outside {obj}",
+                            f"offset {c:#x} outside {obj}",
                         ))
                 if len(violations) >= max_violations:
                     break
@@ -432,45 +438,3 @@ class DifferentialOracle:
                 "accepted_crash", None, None, None, seed,
                 f"accepted program fell off the instruction stream: {exc}",
             ))
-
-
-def _fast_plans(
-    plans: List[Optional[List[Tuple]]]
-) -> List[Optional[Tuple]]:
-    """Split each plan into its constant registers and the rest.
-
-    Most entries admit exactly one concrete value: a scalar constant, or
-    a pointer at a constant offset (r1, r10).  For those a step needs
-    only one comparison, of an ``operator.itemgetter`` over their
-    registers against the expected values (``(base + offset) & U64``
-    for a pointer).  Each step is ``(getter, expected, rest, length)``;
-    ``getter`` is None when no entry is constant, and ``rest`` holds
-    the other entries without their message fields.
-    """
-    out: List[Optional[Tuple]] = []
-    for plan in plans:
-        if plan is None:
-            out.append(None)
-            continue
-        regs: List[int] = []
-        expected: List[int] = []
-        rest: List[Tuple] = []
-        for r, notmask, value, umin, umax, base, _obj, _region in plan:
-            if notmask == U64 and umin <= value <= umax:
-                single = value
-            elif umin == umax and umin & notmask == value:
-                single = umin
-            else:
-                rest.append((r, notmask, value, umin, umax, base))
-                continue
-            regs.append(r)
-            expected.append(single if base is None else (base + single) & U64)
-        getter: Optional[Callable] = None
-        consts: object = None
-        if len(regs) == 1:
-            # A one-item itemgetter returns the item, not a 1-tuple.
-            getter, consts = operator.itemgetter(regs[0]), expected[0]
-        elif regs:
-            getter, consts = operator.itemgetter(*regs), tuple(expected)
-        out.append((getter, consts, rest, len(plan)))
-    return out

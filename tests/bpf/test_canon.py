@@ -475,3 +475,14 @@ class TestVerdictCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             VerdictCache(max_entries=0)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_load_rejects_nonpositive_capacity(self, tmp_path, size):
+        # The constructor's check guards a saved store too: -1 must not
+        # reach the trimming loop, nor 0 load a cache that keeps nothing.
+        cache = VerdictCache()
+        cached_fingerprint(assemble("mov r0, 1\nexit"), cache)
+        store = tmp_path / "verdicts.json"
+        cache.save(store)
+        with pytest.raises(ValueError, match="max_entries must be >= 1"):
+            VerdictCache.load(store, max_entries=size)

@@ -1,20 +1,26 @@
-"""Exhaustive soundness of ``ScalarValue`` operations at width 4.
+"""Exhaustive soundness of ``ScalarValue`` operations at widths 4 and 3.
 
 Every tnum is paired with every interval and reduced by
-:meth:`ScalarValue.make` (81 × 136 pairs, 1,110 distinct values besides
-⊥); each value is checked against every concrete member of its γ-set.
-A refinement must keep every member that satisfies its predicate and
-may only narrow the value; an arithmetic shift must contain the shift
-of every member.
+:meth:`ScalarValue.make` (81 × 136 pairs at width 4, 1,110 distinct
+values besides ⊥; 120 at width 3); each value is checked against every
+concrete member of its γ-set.  A refinement must keep every member that
+satisfies its predicate and may only narrow the value; a transfer must
+contain the concrete result of every member (pair of members).
 
-Covered: the ten signed, unsigned and equality branch refinements
-against every bound, and ``arshift`` at every shift.  The constant fast
-paths of the binary transfers, ``neg`` and the shifts are checked on
-every pair of constants (a constant and a shift for the shifts): each
-returns ``ScalarValue.const`` of the concrete result, and the generic
-path it short-cuts contains it.
+Covered: ``make`` on every width-4 pair (it keeps every common member
+and lies below both inputs), the ten signed, unsigned and equality
+branch refinements against every bound, ``arshift`` at every shift, and
+the generic paths of ``neg`` and the three shifts at width 4 (every
+value, every shift) and of the eight binary transfers, ``join`` and
+``meet`` at width 3 (every pair of values, ``meet`` exactly; width 4
+would be about 85× the pairs).  The constant fast paths of the binary
+transfers, ``neg`` and the shifts are checked on every pair of constants
+(a constant and a shift for the shifts): each returns
+``ScalarValue.const`` of the concrete result, and the generic path it
+short-cuts contains it.
 """
 
+import functools
 import operator
 
 import pytest
@@ -41,8 +47,8 @@ UNSIGNED_PREDICATES = {
     "ne": operator.ne,
 }
 
-#: Concrete semantics of each binary transfer, before truncation to W
-#: bits (BPF defines x / 0 == 0 and x % 0 == x).
+#: Concrete semantics of each binary transfer, before truncation to the
+#: operands' width (BPF defines x / 0 == 0 and x % 0 == x).
 BINARY = {
     "add": operator.add,
     "sub": operator.sub,
@@ -60,27 +66,39 @@ SHIFTS = {
 }
 
 
-def reduced_values():
-    """Every distinct reduced tnum × interval value of width ``W`` but ⊥."""
-    values = {
-        ScalarValue.make(Tnum(value, mask, W), Interval(lo, hi, W))
-        for mask in range(LIMIT + 1)
-        for value in range(LIMIT + 1)
+def pairs(width):
+    """Every well-formed tnum × interval pair of ``width`` bits."""
+    limit = (1 << width) - 1
+    return [
+        (Tnum(value, mask, width), Interval(lo, hi, width))
+        for mask in range(limit + 1)
+        for value in range(limit + 1)
         if not value & mask
-        for lo in range(LIMIT + 1)
-        for hi in range(lo, LIMIT + 1)
-    }
+        for lo in range(limit + 1)
+        for hi in range(lo, limit + 1)
+    ]
+
+
+def reduced_values(width):
+    """Every distinct reduced tnum × interval value of ``width`` bits but ⊥."""
+    values = {ScalarValue.make(t, iv) for t, iv in pairs(width)}
     return sorted(
         (v for v in values if not v.is_bottom()),
         key=lambda v: (v.tnum.value, v.tnum.mask, v.umin(), v.umax()),
     )
 
 
-VALUES = reduced_values()
+VALUES = reduced_values(W)
+SMALL = reduced_values(3)
 
 
 def members(value):
-    return [x for x in range(LIMIT + 1) if value.contains(x)]
+    return [x for x in range(1 << value.width) if value.contains(x)]
+
+
+@functools.lru_cache(maxsize=None)
+def gamma(value):
+    return frozenset(members(value))
 
 
 def unsound_refinements(name, holds, view):
@@ -177,3 +195,63 @@ def test_unary_const_fast_path(name, monkeypatch):
         assert got == ScalarValue.const(cases[args], W), (args, got)
         generic = getattr(CONSTS[args[0]], name)(*args[1:])
         assert got.leq(generic), (args, got, generic)
+
+
+def test_reduced_value_counts():
+    assert (len(pairs(W)), len(VALUES), len(SMALL)) == (11_016, 1_110, 120)
+
+
+def test_make_keeps_common_members_and_narrows():
+    for t, iv in pairs(W):
+        made = ScalarValue.make(t, iv)
+        assert made.leq(ScalarValue(t, iv)), (t, iv, made)
+        lost = [
+            x for x in range(LIMIT + 1)
+            if t.contains(x) and iv.contains(x) and not made.contains(x)
+        ]
+        assert not lost, (t, iv, made, lost)
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_binary_generic_sound(name, monkeypatch):
+    # Constants too take the generic transfer.
+    monkeypatch.setattr(ScalarValue, "_const_operands", lambda self, other: None)
+    concrete = BINARY[name]
+    limit = (1 << SMALL[0].width) - 1
+    unsound = []
+    for a in SMALL:
+        for b in SMALL:
+            got = getattr(a, name)(b)
+            results = {
+                concrete(x, y) & limit for x in gamma(a) for y in gamma(b)
+            }
+            if not results <= gamma(got):
+                unsound.append((a, b, got, sorted(results - gamma(got))))
+    assert not unsound, unsound[:5]
+
+
+@pytest.mark.parametrize("name", ["neg", *sorted(SHIFTS)])
+def test_unary_generic_sound(name, monkeypatch):
+    # Constants too take the generic transfer.
+    monkeypatch.setattr(ScalarValue, "reduced_const", lambda self: None)
+    if name == "neg":
+        cases = [((), lambda x: -x)]
+    else:
+        cases = [
+            ((s,), lambda x, s=s: SHIFTS[name](x, s)) for s in range(W)
+        ]
+    unsound = []
+    for value in VALUES:
+        for args, concrete in cases:
+            got = getattr(value, name)(*args)
+            results = {concrete(x) & LIMIT for x in gamma(value)}
+            if not results <= gamma(got):
+                unsound.append((value, args, got, sorted(results - gamma(got))))
+    assert not unsound, unsound[:5]
+
+
+def test_join_and_meet_sound():
+    for a in SMALL:
+        for b in SMALL:
+            assert gamma(a) | gamma(b) <= gamma(a.join(b)), (a, b)
+            assert gamma(a.meet(b)) == gamma(a) & gamma(b), (a, b)

@@ -2,9 +2,13 @@
 
 import pytest
 
+import repro.fuzz.oracle as oracle_module
 from repro.bpf import assemble
+from repro.bpf.verifier import PathSensitiveVerifier
 from repro.core.tnum import Tnum
 from repro.fuzz import DifferentialOracle, generate_program
+from repro.fuzz.campaign import CampaignSpec, run_precision_campaign
+from repro.fuzz.generator import PROFILES
 
 SAFE = """
     mov   r0, 0
@@ -74,6 +78,14 @@ class TestRejectedPrograms:
         assert report.rejected_but_clean is False
 
 
+@pytest.fixture(params=["join", "path"])
+def engine(request, monkeypatch):
+    """The oracle's abstract walk: the join engine or the path-sensitive one."""
+    if request.param == "path":
+        monkeypatch.setattr(oracle_module, "Verifier", PathSensitiveVerifier)
+
+
+@pytest.mark.usefixtures("engine")
 class TestInjectedBugs:
     def test_unsound_add_is_caught(self, monkeypatch):
         """Clearing the LSB of every abstract sum must trip containment."""
@@ -113,6 +125,17 @@ class TestInjectedBugs:
         assert report.verdict == "accepted"
         assert not report.ok
         assert report.violations[0].kind == "accepted_crash"
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_path_engine_campaign_is_sound(profile, monkeypatch):
+    """A default campaign, its mutants and rejections included, finds no
+    violation when the oracle walks paths instead of joining them."""
+    monkeypatch.setattr(oracle_module, "Verifier", PathSensitiveVerifier)
+    result = run_precision_campaign(CampaignSpec(budget=200, profile=profile))
+    stats = result.stats
+    assert stats.mutants and stats.rejected, stats
+    assert stats.violations == 0 and result.ok, stats
 
 
 class TestRegression32BitAlu:

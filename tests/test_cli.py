@@ -435,6 +435,22 @@ class TestServeCli:
         assert "corrupt or truncated" in err
         assert str(store) in err
 
+    def test_nonpositive_cache_size_with_a_store_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+        from repro.bpf.canon import VerdictCache
+
+        # Were the size accepted, serve would block; fail instead.
+        monkeypatch.setattr(cli, "_serve_until_stopped", lambda *a: pytest.fail(
+            "served with a cache that keeps nothing"
+        ))
+        store = tmp_path / "verdicts.json"
+        VerdictCache().save(store)
+        assert main(["serve", "--verdict-cache", str(store), "--port", "0",
+                     "--verdict-cache-size", "0"]) == 2
+        assert "error: max_entries must be >= 1" in capsys.readouterr().err
+
     def test_serve_end_to_end(self, tmp_path):
         """Boot `repro serve` in a subprocess, verify over HTTP, SIGTERM."""
         import os
