@@ -40,8 +40,8 @@ from .service import VerificationService
 
 
 def __getattr__(name: str):
-    # Lazy on purpose: eager import would cycle (api.dist needs
-    # repro.fuzz.dist, whose campaign core imports api.ingest back).
+    # Lazy on purpose: api.dist loads repro.fuzz.dist and the campaign
+    # driver under it, which the verification service never needs.
     if name == "CoordinatorApi":
         from .dist import CoordinatorApi
         return CoordinatorApi

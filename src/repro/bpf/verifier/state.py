@@ -47,6 +47,13 @@ class RegKind(enum.Enum):
     PTR = "ptr"
 
 
+# Module-level aliases for the predicates below: a global read is far
+# cheaper than an Enum member read, and the walk calls them per register.
+_NOT_INIT_KIND = RegKind.NOT_INIT
+_SCALAR_KIND = RegKind.SCALAR
+_PTR_KIND = RegKind.PTR
+
+
 class Region(enum.Enum):
     STACK = "stack"
     CTX = "ctx"
@@ -137,13 +144,13 @@ class RegState:
     # -- predicates ------------------------------------------------------------
 
     def is_init(self) -> bool:
-        return self.kind is not RegKind.NOT_INIT
+        return self.kind is not _NOT_INIT_KIND
 
     def is_scalar(self) -> bool:
-        return self.kind is RegKind.SCALAR
+        return self.kind is _SCALAR_KIND
 
     def is_ptr(self) -> bool:
-        return self.kind is RegKind.PTR
+        return self.kind is _PTR_KIND
 
     # -- lattice ------------------------------------------------------------------
 

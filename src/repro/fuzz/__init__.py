@@ -53,7 +53,9 @@ Pipeline
     workers lease batches over HTTP.
     Idempotent ingest and crash-proof checkpoints keep the report
     byte-identical to a single-machine run (see
-    ``docs/distributed.md``).
+    ``docs/distributed.md``).  It loads on first use of
+    ``Coordinator``, ``CoordinatorConfig`` or ``run_worker``, so
+    importing the rest of the package loads no HTTP client code.
 
 Quick start
 -----------
@@ -78,7 +80,6 @@ from .campaign import (
     run_precision_campaign,
 )
 from .corpus import Corpus, CorpusEntry
-from .dist import Coordinator, CoordinatorConfig, run_worker
 from .generator import (
     INTERESTING_IMM64,
     INTERESTING_IMMS,
@@ -97,6 +98,18 @@ from .resilience import (
     slice_batches,
 )
 from .shrink import ShrinkStats, shrink_program
+
+_DIST_NAMES = ("Coordinator", "CoordinatorConfig", "run_worker")
+
+
+def __getattr__(name: str):
+    # Lazy on purpose: repro.fuzz.dist loads urllib.request and
+    # http.client, which a campaign on one machine never needs.
+    if name in _DIST_NAMES:
+        from . import dist
+        return getattr(dist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PROFILES",

@@ -3,11 +3,16 @@
 A corpus stores *replayable* artifacts: failing programs (with their
 shrunk witnesses and violation details) and mutation seeds — shrunk
 near-miss and rejected-but-clean programs a precision campaign feeds
-back into the generator.  Programs are stored as kernel-wire-format bytecode hex via
-the shared ingestion layer (:mod:`repro.api.ingest`), so entries
-round-trip exactly, can be replayed by any later build or external BPF
-tooling — and can be POSTed verbatim to the service's ``/verify``
-endpoint (which accepts the corpus-entry ``bytecode_hex`` spelling).
+back into the generator.  Programs are stored as the hex of their
+kernel wire-format bytecode, so entries round-trip exactly, can be
+replayed by any later build or external BPF tooling — and can be POSTed
+verbatim to the service's ``/verify`` endpoint (which accepts the
+corpus-entry ``bytecode_hex`` spelling).  Entries decode through the
+shared ingestion layer (:mod:`repro.api.ingest`), which raises a
+structured ``IngestError`` on bad hex; it is imported only when an
+entry is decoded, because importing it loads the ``repro.api`` service
+and its HTTP code, which a campaign that only writes entries never
+needs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.api.ingest import program_from_hex, program_to_hex
 from repro.bpf.program import Program
 
 __all__ = ["CorpusEntry", "Corpus"]
@@ -38,11 +42,15 @@ class CorpusEntry:
     note: str = ""
 
     def program(self) -> Program:
+        from repro.api.ingest import program_from_hex
+
         return program_from_hex(self.bytecode_hex)
 
     def shrunk_program(self) -> Optional[Program]:
         if self.shrunk_hex is None:
             return None
+        from repro.api.ingest import program_from_hex
+
         return program_from_hex(self.shrunk_hex)
 
 
@@ -65,8 +73,8 @@ class Corpus:
             kind="violation",
             seed=seed,
             profile=profile,
-            bytecode_hex=program_to_hex(program),
-            shrunk_hex=program_to_hex(shrunk) if shrunk else None,
+            bytecode_hex=program.to_bytes().hex(),
+            shrunk_hex=shrunk.to_bytes().hex() if shrunk else None,
             violation=violation,
             note=note,
         )
@@ -81,7 +89,7 @@ class Corpus:
             kind="seed",
             seed=seed,
             profile=profile,
-            bytecode_hex=program_to_hex(program),
+            bytecode_hex=program.to_bytes().hex(),
             note=note,
         )
         self.entries.append(entry)

@@ -12,6 +12,9 @@ Three layers, all dependency-free:
   atomic heartbeat snapshots, republished every interval while the
   session is open, plus an optional background ``http.server`` thread
   serving ``/metrics`` (Prometheus text) and ``/stats`` (JSON).
+  :mod:`repro.obs.server` and the HTTP code under it load only when a
+  stats server starts or :class:`StatsServer` is first looked up, so a
+  process that imports the walk or a campaign loads no HTTP module.
 
 The zero-overhead contract
 --------------------------
@@ -53,7 +56,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from .heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
@@ -69,7 +72,6 @@ from .metrics import (
     Registry,
     TimerStat,
 )
-from .server import StatsServer
 from .trace import (
     TRACE_SCHEMA_VERSION,
     JsonlSink,
@@ -80,6 +82,19 @@ from .trace import (
     read_trace,
     validate_event,
 )
+
+if TYPE_CHECKING:
+    from .server import StatsServer
+
+
+def __getattr__(name: str):
+    # Lazy on purpose: the server pulls in repro.httpd and http.server,
+    # which nothing that only walks or fuzzes needs.
+    if name == "StatsServer":
+        from .server import StatsServer
+        return StatsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "enabled",
@@ -258,6 +273,8 @@ class ObsSession:
             )
             self._refresher.start()
         if serve_port is not None:
+            from .server import StatsServer
+
             self.server = StatsServer(
                 default_registry, obs_dir=self.obs_dir, port=serve_port
             ).start()

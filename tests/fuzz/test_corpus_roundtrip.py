@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api.ingest import IngestError
 from repro.bpf import isa
 from repro.bpf.insn import Instruction
 from repro.bpf.program import Program
-from repro.fuzz import Corpus, generate_program
+from repro.fuzz import Corpus, CorpusEntry, generate_program
 
 U64 = (1 << 64) - 1
 
@@ -121,3 +122,39 @@ class TestWireFormatExtremes:
     def test_bad_version_still_rejected(self):
         with pytest.raises(ValueError):
             Corpus.from_json('{"format_version": 2, "entries": []}')
+
+
+class TestBadHex:
+    """Stored hex that does not decode raises a structured ``IngestError``."""
+
+    GOOD = generate_program(4).program.to_bytes().hex()
+
+    @pytest.mark.parametrize("text", ["zz", "abc", "b7 00 00 00 0g"])
+    def test_bad_bytecode_hex(self, text):
+        entry = CorpusEntry(kind="seed", seed=0, profile="mixed", bytecode_hex=text)
+        with pytest.raises(IngestError) as info:
+            entry.program()
+        assert info.value.code == "bad-encoding"
+        assert entry.shrunk_program() is None
+
+    @pytest.mark.parametrize("text", ["zz", "abc", "b7 00 00 00 0g"])
+    def test_bad_shrunk_hex(self, text):
+        entry = CorpusEntry(
+            kind="violation", seed=0, profile="mixed",
+            bytecode_hex=self.GOOD, shrunk_hex=text,
+        )
+        assert entry.program().to_bytes().hex() == self.GOOD
+        with pytest.raises(IngestError) as info:
+            entry.shrunk_program()
+        assert info.value.code == "bad-encoding"
+
+    def test_bad_hex_survives_a_reload(self, tmp_path):
+        corpus = Corpus([CorpusEntry(
+            kind="violation", seed=0, profile="mixed",
+            bytecode_hex="not hex", shrunk_hex="0",
+        )])
+        entry = roundtrip(corpus, tmp_path).entries[0]
+        for decode in (entry.program, entry.shrunk_program):
+            with pytest.raises(IngestError) as info:
+                decode()
+            assert info.value.code == "bad-encoding"
